@@ -50,15 +50,20 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional
 
-from .annotate import AnnotationPolicy, annotate_program, annotation_report
+from .annotate import AnnotationPolicy
 from .isa import Program, assemble, disassemble
-from .lang import compile_source
-from .machine import run_program, save_trace, read_trace
-from .profiling import collect_profile, merge_profiles, read_profile, save_profile
-
-Number = Union[int, float]
+from .machine import run_program
+from .operations import (
+    OPERATIONS,
+    ApiError,
+    parse_input_sets,
+    parse_input_stream,
+    parse_inputs_spec,  # noqa: F401  (re-exported: the --inputs spec parser)
+    write_output,
+)
+from .profiling import read_profile
 
 
 def _load_program(path: str) -> Program:
@@ -66,68 +71,16 @@ def _load_program(path: str) -> Program:
     return assemble(text, name=Path(path).stem)
 
 
-def _write_output(text: str, output: Optional[str]) -> None:
-    if output is None or output == "-":
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text, encoding="utf-8")
+def _command_operation(arguments: argparse.Namespace) -> int:
+    """Run one operation locally: ``compile``, ``annotate``, ``classify predict``.
 
-
-def _parse_number(token: str) -> Number:
-    try:
-        return int(token)
-    except ValueError:
-        return float(token)
-
-
-def parse_inputs_spec(spec: Optional[str]) -> List[Number]:
-    """One ``--inputs`` value: ``1,2,3.5`` inline or ``@file`` on disk.
-
-    The single parser behind every subcommand's ``--inputs`` flag —
-    ``run``/``trace``/``profile`` here and the ``repro client`` mirror
-    commands (:mod:`repro.service.cli`) all route through it, so the
-    spec syntax cannot drift between commands.
+    ``arguments.summary`` is the stderr line, formatted with the parsed
+    arguments and the run's meta.
     """
-    if not spec:
-        return []
-    if spec.startswith("@"):
-        text = Path(spec[1:]).read_text(encoding="utf-8")
-        return [_parse_number(token) for token in text.split()]
-    return [_parse_number(token) for token in spec.split(",") if token]
-
-
-def parse_input_stream(specs: Sequence[Optional[str]]) -> List[Number]:
-    """Repeated ``--inputs`` flags as *one* stream (``run``/``trace``).
-
-    These commands execute the program once, so repeated flags
-    concatenate in order; a single flag behaves exactly as before.
-    """
-    stream: List[Number] = []
-    for spec in specs:
-        stream.extend(parse_inputs_spec(spec))
-    return stream
-
-
-def parse_input_sets(specs: Sequence[Optional[str]]) -> List[List[Number]]:
-    """Repeated ``--inputs`` flags as one stream *each* (``profile``).
-
-    Profiling runs the program once per training stream, so every flag
-    stays its own input set.
-    """
-    return [parse_inputs_spec(spec) for spec in specs]
-
-
-def _command_compile(arguments: argparse.Namespace) -> int:
-    source = Path(arguments.source).read_text(encoding="utf-8")
-    program = compile_source(
-        source, name=Path(arguments.source).stem, optimize=not arguments.no_optimize
-    )
-    _write_output(disassemble(program), arguments.output)
-    print(
-        f"compiled {arguments.source}: {len(program)} instructions, "
-        f"{len(program.candidate_addresses)} prediction candidates",
-        file=sys.stderr,
-    )
+    job = arguments.operation.job_from_arguments(arguments)
+    text, meta = arguments.operation.run(job, None)
+    write_output(text, arguments.output)
+    print(arguments.summary.format_map({**vars(arguments), **meta}), file=sys.stderr)
     return 0
 
 
@@ -148,61 +101,56 @@ def _command_run(arguments: argparse.Namespace) -> int:
 
 
 def _command_profile(arguments: argparse.Namespace) -> int:
+    """``profile``, plus the local-only ``--trace`` files and sharded capture."""
     import contextlib
     import tempfile
 
-    program = _load_program(arguments.program)
-    sample_every = getattr(arguments, "sample_every", 1)
-    jobs = getattr(arguments, "jobs", 1)
-    store_dir = getattr(arguments, "store", None)
-    images = []
-    for index, path in enumerate(arguments.trace or []):
-        images.append(
-            collect_profile(
-                program,
-                records=read_trace(path),
-                run_label=f"trace-{index}",
-                sample_every=sample_every,
-            )
-        )
-    input_specs = arguments.inputs or ([] if images else [""])
-    input_sets = parse_input_sets(input_specs)
-    with contextlib.ExitStack() as stack:
-        store = None
-        if input_sets and (jobs > 1 or store_dir):
-            # Capture the training runs across worker processes into one
-            # shared TraceStore, then profile by (in-process) replay.  A
-            # --store directory persists the traces; otherwise they live
-            # in a temporary directory for the duration of the command.
-            from .machine import TraceStore, capture_sharded
+    from .machine import DEFAULT_BUDGET, TraceStore, capture_sharded, read_trace
+    from .operations import job_program, merge_runs, profile_images
+    from .profiling import collect_profile, dumps_profile, save_profile
 
-            if store_dir is None:
-                store_dir = stack.enter_context(tempfile.TemporaryDirectory())
-            report = capture_sharded(
-                program, input_sets, directory=store_dir, jobs=jobs
-            )
-            if report.failures:
-                # The replay below re-raises each fault at the exact same
-                # record a serial run would — surface them early instead.
-                for failure in report.failures:
-                    print(
-                        f"profile: input set {failure.index} faulted: "
-                        f"{failure.error}",
-                        file=sys.stderr,
-                    )
-                return 1
-            store = TraceStore(directory=store_dir)
-        images.extend(
-            collect_profile(
-                program,
-                inputs,
-                run_label=f"run-{index}",
-                sample_every=sample_every,
-                store=store,
-            )
-            for index, inputs in enumerate(input_sets)
+    job = arguments.operation.job_from_arguments(arguments)
+    program = job_program(job)
+    images = [
+        collect_profile(
+            program,
+            records=read_trace(path),
+            run_label=f"trace-{index}",
+            sample_every=job.sample_every,
         )
-    image = images[0] if len(images) == 1 else merge_profiles(images)
+        for index, path in enumerate(arguments.trace or [])
+    ]
+    if arguments.inputs or not images:
+        with contextlib.ExitStack() as stack:
+            store = None
+            store_dir = arguments.store
+            if arguments.jobs > 1 or store_dir:
+                # Capture the training runs across worker processes into one
+                # shared TraceStore, then profile by (in-process) replay.  A
+                # --store directory persists the traces; otherwise they live
+                # in a temporary directory for the duration of the command.
+                if store_dir is None:
+                    store_dir = stack.enter_context(tempfile.TemporaryDirectory())
+                report = capture_sharded(
+                    program,
+                    job.input_sets,
+                    directory=store_dir,
+                    jobs=arguments.jobs,
+                    max_instructions=job.max_instructions or DEFAULT_BUDGET,
+                )
+                if report.failures:
+                    # The replay would re-raise each fault at the exact same
+                    # record a serial run would — surface them early instead.
+                    for failure in report.failures:
+                        print(
+                            f"profile: input set {failure.index} faulted: "
+                            f"{failure.error}",
+                            file=sys.stderr,
+                        )
+                    return 1
+                store = TraceStore(directory=store_dir)
+            images.extend(profile_images(job, store))
+    image = merge_runs(images)
     if arguments.output:
         save_profile(image, arguments.output)
         print(
@@ -211,53 +159,40 @@ def _command_profile(arguments: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     else:
-        from .profiling import dumps_profile
-
         sys.stdout.write(dumps_profile(image))
     return 0
 
 
 def _command_fuse(arguments: argparse.Namespace) -> int:
-    """Merge many profile images/sketches into one, streaming."""
-    import glob as glob_module
+    """``fuse``, plus the local-only sketch output, batch engine and report."""
     import json
 
+    from .operations import fuse_image, profile_paths
     from .profiling import (
-        MergeAccumulator,
         ProfileSketch,
         dumps_profile,
         fidelity_report,
+        merge_profiles,
         read_any_profile,
+        save_profile,
         save_sketch,
     )
 
-    paths: List[str] = []
-    for pattern in arguments.patterns:
-        matches = sorted(glob_module.glob(pattern))
-        if not matches:
-            print(f"fuse: no profiles match {pattern!r}", file=sys.stderr)
-            return 2
-        paths.extend(match for match in matches if match not in paths)
-
+    paths = profile_paths(arguments.profiles)
     make_sketch = arguments.sketch or arguments.quantize > 0
     if make_sketch and (not arguments.output or arguments.output == "-"):
         print("fuse: --sketch output is binary; -o PATH is required",
               file=sys.stderr)
         return 2
 
+    images = map(read_any_profile, paths)
     if arguments.batch:
-        image = merge_profiles(
-            (read_any_profile(path) for path in paths),
-            require_common=arguments.require_common,
-        )
+        image = merge_profiles(images, require_common=arguments.require_common)
     else:
-        accumulator = MergeAccumulator(require_common=arguments.require_common)
-        for path in paths:
-            accumulator.fold(read_any_profile(path))
-        image = accumulator.result()
+        image = fuse_image(images, require_common=arguments.require_common)
 
     if arguments.report:
-        report = fidelity_report(read_any_profile(path) for path in paths)
+        report = fidelity_report(map(read_any_profile, paths))
         Path(arguments.report).write_text(
             json.dumps(report, indent=2) + "\n", encoding="utf-8"
         )
@@ -394,32 +329,16 @@ def _command_corpus(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _command_annotate(arguments: argparse.Namespace) -> int:
-    program = _load_program(arguments.program)
-    image = read_profile(arguments.profile)
-    policy = AnnotationPolicy(
-        accuracy_threshold=arguments.threshold,
-        stride_threshold=arguments.stride_threshold,
-    )
-    annotated = annotate_program(program, image, policy)
-    report = annotation_report(program, image, policy)
-    _write_output(disassemble(annotated), arguments.output)
-    print(
-        f"tagged {report.stride_tagged} stride + {report.last_value_tagged} "
-        f"last-value of {report.candidates} candidates "
-        f"(threshold {arguments.threshold:g}%)",
-        file=sys.stderr,
-    )
-    return 0
-
-
 def _command_trace(arguments: argparse.Namespace) -> int:
-    program = _load_program(arguments.program)
+    """``trace`` to a file (``.gz`` compresses), or sharded into a TraceStore."""
+    from .machine import capture_sharded, save_trace
+    from .operations import job_program
+
+    job = arguments.operation.job_from_arguments(arguments)
+    program = job_program(job)
     if arguments.store:
         # Sharded capture: each --inputs flag is its own run, captured
         # into one content-addressed TraceStore across --jobs workers.
-        from .machine import capture_sharded
-
         if arguments.output:
             print(
                 "trace: choose one of -o (single trace file) or "
@@ -427,13 +346,12 @@ def _command_trace(arguments: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        input_sets = parse_input_sets(arguments.inputs or [""])
         report = capture_sharded(
             program,
-            input_sets,
+            parse_input_sets(arguments.inputs or [""]),
             directory=arguments.store,
             jobs=arguments.jobs,
-            max_instructions=arguments.max_instructions,
+            max_instructions=job.max_instructions,
         )
         for failure in report.failures:
             print(
@@ -457,19 +375,19 @@ def _command_trace(arguments: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    count = save_trace(
+    records = save_trace(
         program,
         arguments.output,
-        inputs=parse_input_stream(arguments.inputs or []),
-        max_instructions=arguments.max_instructions,
+        inputs=job.inputs,
+        max_instructions=job.max_instructions,
     )
-    print(f"wrote {count} records to {arguments.output}", file=sys.stderr)
+    print(f"wrote {records} records to {arguments.output}", file=sys.stderr)
     return 0
 
 
 def _command_disasm(arguments: argparse.Namespace) -> int:
     program = _load_program(arguments.program)
-    _write_output(disassemble(program), arguments.output)
+    write_output(disassemble(program), arguments.output)
     return 0
 
 
@@ -555,37 +473,11 @@ def _command_classify_train(arguments: argparse.Namespace) -> int:
         max_depth=arguments.max_depth,
         min_leaf=arguments.min_leaf,
     )
-    _write_output(dumps_model(model), arguments.output)
+    write_output(dumps_model(model), arguments.output)
     print(
         f"trained on {len(labeled)} programs ({model.training_rows} rows): "
         f"{model.node_count} nodes, depth {model.depth}, "
         f"digest {model_digest(model)[:16]}",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def _command_classify_predict(arguments: argparse.Namespace) -> int:
-    """Re-tag a program with model-predicted directives (no profile)."""
-    from .classify import (
-        ModelFormatError,
-        annotate_with_model,
-        loads_model,
-        model_digest,
-    )
-
-    try:
-        model = loads_model(Path(arguments.model).read_text(encoding="utf-8"))
-    except ModelFormatError as error:
-        print(f"classify: bad model: {error}", file=sys.stderr)
-        return 2
-    program = _load_program(arguments.program)
-    annotated = annotate_with_model(model, program)
-    _write_output(disassemble(annotated), arguments.output)
-    print(
-        f"tagged {len(annotated.directives())} of "
-        f"{len(program.candidate_addresses)} candidates "
-        f"(model digest {model_digest(model)[:16]})",
         file=sys.stderr,
     )
     return 0
@@ -661,6 +553,23 @@ def _command_client(arguments: argparse.Namespace) -> int:
     from .service.cli import run_client
 
     return run_client(arguments)
+
+
+def _add_operation(
+    commands,
+    command: str,
+    kind: Optional[str] = None,
+    *,
+    handler=_command_operation,
+    output_help: Optional[str] = None,
+    summary: str = "",
+) -> argparse.ArgumentParser:
+    """A subcommand whose help and arguments the operation ``kind`` declares."""
+    operation = OPERATIONS[kind or command]
+    parser = commands.add_parser(command, help=operation.doc)
+    operation.add_arguments(parser, output_help=output_help)
+    parser.set_defaults(handler=handler, operation=operation, summary=summary)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -767,17 +676,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     classify_train_parser.set_defaults(handler=_command_classify_train)
 
-    classify_predict_parser = classify_commands.add_parser(
-        "predict",
-        help="insert model-predicted directives into a program (phase 3 "
-        "with no profile)",
+    _add_operation(
+        classify_commands, "predict", "classify",
+        summary="tagged {tagged} of {candidates} candidates "
+        "(model digest {model_digest:.16})",
     )
-    classify_predict_parser.add_argument("model", help="trained model file")
-    classify_predict_parser.add_argument("program", help="assembly file")
-    classify_predict_parser.add_argument(
-        "-o", "--output", help="annotated assembly output (default stdout)"
-    )
-    classify_predict_parser.set_defaults(handler=_command_classify_predict)
 
     classify_eval_parser = classify_commands.add_parser(
         "eval",
@@ -797,22 +700,16 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.set_defaults(handler=_command_serve)
 
     client_parser = commands.add_parser(
-        "client",
-        help="submit compile/trace/profile/annotate/experiment jobs to a "
-        "running daemon",
+        "client", help=f"submit {'/'.join(OPERATIONS)} jobs to a running daemon"
     )
     add_client_arguments(client_parser)
     client_parser.set_defaults(handler=_command_client)
 
-    compile_parser = commands.add_parser(
-        "compile", help="compile mini-C to textual assembly (phase 1)"
+    _add_operation(
+        commands, "compile",
+        summary="compiled {source}: {instructions} instructions, "
+        "{candidates} prediction candidates",
     )
-    compile_parser.add_argument("source", help="mini-C source file")
-    compile_parser.add_argument("-o", "--output", help="assembly output (default stdout)")
-    compile_parser.add_argument(
-        "--no-optimize", action="store_true", help="disable -O2 stand-in passes"
-    )
-    compile_parser.set_defaults(handler=_command_compile)
 
     run_parser = commands.add_parser("run", help="execute a program")
     run_parser.add_argument("program", help="assembly file")
@@ -826,26 +723,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.set_defaults(handler=_command_run)
 
-    profile_parser = commands.add_parser(
-        "profile", help="collect a profile image (phase 2)"
-    )
-    profile_parser.add_argument("program", help="assembly file")
-    profile_parser.add_argument(
-        "--inputs",
-        action="append",
-        help="one training input stream per flag (repeatable)",
-    )
+    profile_parser = _add_operation(commands, "profile", handler=_command_profile)
     profile_parser.add_argument(
         "--trace",
         action="append",
         help="profile a stored trace file instead of executing (repeatable)",
-    )
-    profile_parser.add_argument(
-        "--sample-every",
-        type=int,
-        default=1,
-        metavar="K",
-        help="keep every K-th dynamic record (1 = full profile, the default)",
     )
     profile_parser.add_argument(
         "--jobs",
@@ -861,8 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="TraceStore directory shared between the capture workers "
         "(default: a temporary directory; traces persist when given)",
     )
-    profile_parser.add_argument("-o", "--output", help="profile image file")
-    profile_parser.set_defaults(handler=_command_profile)
 
     corpus_parser = commands.add_parser(
         "corpus",
@@ -912,24 +792,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     corpus_parser.set_defaults(handler=_command_corpus)
 
-    fuse_parser = commands.add_parser(
-        "fuse",
-        help="merge many profile images/sketches into one (streaming, "
-        "bounded memory)",
-    )
-    fuse_parser.add_argument(
-        "patterns",
-        nargs="+",
-        help="profile/sketch files or glob patterns (formats auto-detected)",
-    )
-    fuse_parser.add_argument(
-        "-o", "--output",
-        help="merged output (default stdout; required with --sketch)",
-    )
-    fuse_parser.add_argument(
-        "--require-common",
-        action="store_true",
-        help="keep only instructions present in every input (Section 4)",
+    fuse_parser = _add_operation(
+        commands, "fuse", handler=_command_fuse,
+        output_help="merged output (default stdout; required with --sketch)",
     )
     fuse_parser.add_argument(
         "--sketch",
@@ -954,24 +819,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write a JSON size/fidelity report over the inputs",
     )
-    fuse_parser.set_defaults(handler=_command_fuse)
 
-    annotate_parser = commands.add_parser(
-        "annotate", help="insert value-prediction directives (phase 3)"
+    _add_operation(
+        commands, "annotate",
+        summary="tagged {stride_tagged} stride + {last_value_tagged} last-value "
+        "of {candidates} candidates (threshold {threshold:g}%)",
     )
-    annotate_parser.add_argument("program", help="assembly file")
-    annotate_parser.add_argument("profile", help="profile image file")
-    annotate_parser.add_argument(
-        "--threshold", type=float, default=90.0, help="accuracy threshold [%%]"
-    )
-    annotate_parser.add_argument(
-        "--stride-threshold",
-        type=float,
-        default=50.0,
-        help="stride-efficiency split [%%]",
-    )
-    annotate_parser.add_argument("-o", "--output", help="annotated assembly output")
-    annotate_parser.set_defaults(handler=_command_annotate)
 
     disasm_parser = commands.add_parser(
         "disasm", help="canonicalize/inspect an assembly file"
@@ -980,21 +833,9 @@ def build_parser() -> argparse.ArgumentParser:
     disasm_parser.add_argument("-o", "--output", help="output (default stdout)")
     disasm_parser.set_defaults(handler=_command_disasm)
 
-    trace_parser = commands.add_parser(
-        "trace", help="execute and store the dynamic trace(s)"
-    )
-    trace_parser.add_argument("program", help="assembly file")
-    trace_parser.add_argument(
-        "--inputs", action="append",
-        help="input stream: '1,2,3' inline or '@file' (repeatable; "
-        "streams concatenate with -o, one run each with --store)",
-    )
-    trace_parser.add_argument(
-        "--max-instructions", type=int, default=None, help="dynamic budget"
-    )
-    trace_parser.add_argument(
-        "-o", "--output",
-        help="trace file (.gz suffix compresses); required without --store",
+    trace_parser = _add_operation(
+        commands, "trace", handler=_command_trace,
+        output_help="trace file (.gz suffix compresses); required without --store",
     )
     trace_parser.add_argument(
         "--store",
@@ -1009,7 +850,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker processes for --store capture (default 1)",
     )
-    trace_parser.set_defaults(handler=_command_trace)
 
     report_parser = commands.add_parser(
         "report", help="rank instructions by profiled value predictability"
@@ -1032,7 +872,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     arguments = build_parser().parse_args(argv)
-    return arguments.handler(arguments)
+    try:
+        return arguments.handler(arguments)
+    except ApiError as error:
+        # An operation refused its job: a bad value, program or model.
+        print(f"{arguments.command}: {error.message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

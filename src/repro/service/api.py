@@ -1,8 +1,10 @@
 """The service wire contract (schema ``repro-serve/1``).
 
-Everything that crosses the HTTP boundary is defined here, once: job
-payloads, the submission envelope, job states, status/result shapes and
-the error taxonomy.  The server handlers (:mod:`repro.service.server`),
+Everything that crosses the HTTP boundary is defined here, once: the
+submission envelope, job states and status/result shapes, plus the job
+payloads and the error taxonomy, re-exported from
+:mod:`repro.operations`, where each job kind is declared once for every
+surface.  The server handlers (:mod:`repro.service.server`),
 the client library (:mod:`repro.service.client`) and the ``repro
 client`` CLI (:mod:`repro.service.cli`) all import these types rather
 than hand-rolling dictionaries, so the wire protocol, the Python API
@@ -28,9 +30,23 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
-Number = Union[int, float]
+from ..operations import (
+    BAD_REQUEST,
+    ERROR_CODES,
+    EXECUTION_ERROR,
+    HTTP_STATUS,
+    INTERNAL_ERROR,
+    INVALID_JOB,
+    OPERATIONS,
+    QUEUE_FULL,
+    QUOTA_EXCEEDED,
+    SHUTTING_DOWN,
+    UNKNOWN_JOB,
+    ApiError,
+    ErrorInfo,
+)
 
 #: Version tag carried by every request and response envelope.
 SCHEMA = "repro-serve/1"
@@ -49,78 +65,45 @@ JOB_STATES = (QUEUED, RUNNING, DONE, FAILED, CANCELLED)
 #: States a job never leaves.
 TERMINAL_STATES = (DONE, FAILED, CANCELLED)
 
-# -- error taxonomy ---------------------------------------------------------
+# -- error taxonomy and job payloads ---------------------------------------
+#
+# Both are shared with the batch CLI, so they live one layer down in
+# :mod:`repro.operations`: the error vocabulary, and the one declaration
+# per operation that the job classes, their ``to_dict``/``from_dict`` and
+# the CLI arguments are generated from.
 
-BAD_REQUEST = "bad-request"          # malformed envelope / JSON / schema
-INVALID_JOB = "invalid-job"          # well-formed but unexecutable payload
-UNKNOWN_JOB = "unknown-job"          # job id the server has never seen
-QUOTA_EXCEEDED = "quota-exceeded"    # tenant at its admission quota
-QUEUE_FULL = "queue-full"            # global queue depth reached
-SHUTTING_DOWN = "shutting-down"      # server is draining; no admissions
-EXECUTION_ERROR = "execution-error"  # the job itself failed
-INTERNAL_ERROR = "internal-error"    # anything else; a server bug
+CompileJob = OPERATIONS["compile"].job
+TraceJob = OPERATIONS["trace"].job
+ProfileJob = OPERATIONS["profile"].job
+AnnotateJob = OPERATIONS["annotate"].job
+ExperimentJob = OPERATIONS["experiment"].job
+FuseJob = OPERATIONS["fuse"].job
+ClassifyJob = OPERATIONS["classify"].job
 
-ERROR_CODES = (
-    BAD_REQUEST,
-    INVALID_JOB,
-    UNKNOWN_JOB,
-    QUOTA_EXCEEDED,
-    QUEUE_FULL,
-    SHUTTING_DOWN,
-    EXECUTION_ERROR,
-    INTERNAL_ERROR,
-)
+Job = Union[tuple(operation.job for operation in OPERATIONS.values())]
 
-#: The one HTTP status each error code maps to.
-HTTP_STATUS: Dict[str, int] = {
-    BAD_REQUEST: 400,
-    INVALID_JOB: 400,
-    UNKNOWN_JOB: 404,
-    QUOTA_EXCEEDED: 429,
-    QUEUE_FULL: 429,
-    SHUTTING_DOWN: 503,
-    EXECUTION_ERROR: 500,
-    INTERNAL_ERROR: 500,
-}
+#: The closed set of job kinds the service accepts.
+JOB_KINDS = tuple(OPERATIONS)
 
 
-class ApiError(Exception):
-    """A failure with a closed-vocabulary ``code`` and an HTTP status."""
-
-    def __init__(self, code: str, message: str) -> None:
-        if code not in ERROR_CODES:
-            code = INTERNAL_ERROR
-        self.code = code
-        self.message = message
-        super().__init__(f"{code}: {message}")
-
-    @property
-    def http_status(self) -> int:
-        return HTTP_STATUS[self.code]
-
-    def to_info(self) -> "ErrorInfo":
-        return ErrorInfo(code=self.code, message=self.message)
-
-
-@dataclasses.dataclass(frozen=True)
-class ErrorInfo:
-    """The serialized form of an :class:`ApiError`."""
-
-    code: str
-    message: str
-
-    def to_dict(self) -> dict:
-        return {"code": self.code, "message": self.message}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ErrorInfo":
-        return cls(
-            code=str(payload.get("code", INTERNAL_ERROR)),
-            message=str(payload.get("message", "")),
+def job_from_dict(payload: Any) -> Job:
+    """Decode one job payload; raises :class:`ApiError` on anything off."""
+    if not isinstance(payload, dict):
+        raise ApiError(BAD_REQUEST, "job payload must be an object")
+    kind = payload.get("kind")
+    operation = OPERATIONS.get(kind) if isinstance(kind, str) else None
+    if operation is None:
+        raise ApiError(
+            INVALID_JOB,
+            f"unknown job kind {kind!r} (expected one of {', '.join(JOB_KINDS)})",
         )
+    return operation.decode(payload)
 
-    def raise_(self) -> None:
-        raise ApiError(self.code, self.message)
+
+def job_digest(job: Job) -> str:
+    """SHA-256 content digest of a job's canonical JSON form."""
+    canonical = json.dumps(job.to_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 # -- endpoints --------------------------------------------------------------
@@ -137,338 +120,6 @@ def job_path(job_id: str) -> str:
 
 def result_path(job_id: str) -> str:
     return f"{JOBS_PATH}/{job_id}/result"
-
-
-# -- job payloads -----------------------------------------------------------
-
-
-def _require_text(payload: dict, field: str, kind: str) -> str:
-    value = payload.get(field)
-    if not isinstance(value, str) or not value:
-        raise ApiError(INVALID_JOB, f"{kind} job needs a non-empty {field!r} string")
-    return value
-
-
-def _number_list(values: Any, kind: str, field: str) -> Tuple[Number, ...]:
-    if values is None:
-        return ()
-    if not isinstance(values, (list, tuple)):
-        raise ApiError(INVALID_JOB, f"{kind} job {field!r} must be a list of numbers")
-    out: List[Number] = []
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ApiError(
-                INVALID_JOB, f"{kind} job {field!r} must be a list of numbers"
-            )
-        out.append(value)
-    return tuple(out)
-
-
-@dataclasses.dataclass(frozen=True)
-class CompileJob:
-    """Phase 1: compile mini-C source to textual assembly."""
-
-    source: str
-    name: str = "<minic>"
-    optimize: bool = True
-
-    KIND = "compile"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.KIND,
-            "source": self.source,
-            "name": self.name,
-            "optimize": self.optimize,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CompileJob":
-        return cls(
-            source=_require_text(payload, "source", cls.KIND),
-            name=str(payload.get("name", "<minic>")),
-            optimize=bool(payload.get("optimize", True)),
-        )
-
-
-@dataclasses.dataclass(frozen=True)
-class TraceJob:
-    """Execute once through the shared store; result is the textual trace."""
-
-    program: str
-    name: str = "program"
-    inputs: Tuple[Number, ...] = ()
-    max_instructions: Optional[int] = None
-
-    KIND = "trace"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.KIND,
-            "program": self.program,
-            "name": self.name,
-            "inputs": list(self.inputs),
-            "max_instructions": self.max_instructions,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TraceJob":
-        budget = payload.get("max_instructions")
-        if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int)):
-            raise ApiError(INVALID_JOB, "trace job max_instructions must be an int")
-        return cls(
-            program=_require_text(payload, "program", cls.KIND),
-            name=str(payload.get("name", "program")),
-            inputs=_number_list(payload.get("inputs"), cls.KIND, "inputs"),
-            max_instructions=budget,
-        )
-
-
-@dataclasses.dataclass(frozen=True)
-class ProfileJob:
-    """Phase 2: one profile image over one or more training input streams."""
-
-    program: str
-    name: str = "program"
-    input_sets: Tuple[Tuple[Number, ...], ...] = ((),)
-    max_instructions: Optional[int] = None
-    sample_every: int = 1
-
-    KIND = "profile"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.KIND,
-            "program": self.program,
-            "name": self.name,
-            "input_sets": [list(inputs) for inputs in self.input_sets],
-            "max_instructions": self.max_instructions,
-            "sample_every": self.sample_every,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ProfileJob":
-        raw_sets = payload.get("input_sets")
-        if raw_sets is None:
-            raw_sets = [[]]
-        if not isinstance(raw_sets, (list, tuple)) or not raw_sets:
-            raise ApiError(
-                INVALID_JOB, "profile job 'input_sets' must be a non-empty list"
-            )
-        input_sets = tuple(
-            _number_list(inputs, cls.KIND, "input_sets") for inputs in raw_sets
-        )
-        budget = payload.get("max_instructions")
-        if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int)):
-            raise ApiError(INVALID_JOB, "profile job max_instructions must be an int")
-        sample_every = payload.get("sample_every", 1)
-        if (
-            isinstance(sample_every, bool)
-            or not isinstance(sample_every, int)
-            or sample_every < 1
-        ):
-            raise ApiError(
-                INVALID_JOB, "profile job sample_every must be an int >= 1"
-            )
-        return cls(
-            program=_require_text(payload, "program", cls.KIND),
-            name=str(payload.get("name", "program")),
-            input_sets=input_sets,
-            max_instructions=budget,
-            sample_every=sample_every,
-        )
-
-
-@dataclasses.dataclass(frozen=True)
-class AnnotateJob:
-    """Phase 3: re-tag a binary from a profile image."""
-
-    program: str
-    profile: str
-    name: str = "program"
-    accuracy_threshold: float = 90.0
-    stride_threshold: float = 50.0
-
-    KIND = "annotate"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.KIND,
-            "program": self.program,
-            "profile": self.profile,
-            "name": self.name,
-            "accuracy_threshold": self.accuracy_threshold,
-            "stride_threshold": self.stride_threshold,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "AnnotateJob":
-        for field in ("accuracy_threshold", "stride_threshold"):
-            value = payload.get(field)
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, (int, float))
-            ):
-                raise ApiError(INVALID_JOB, f"annotate job {field!r} must be a number")
-        return cls(
-            program=_require_text(payload, "program", cls.KIND),
-            profile=_require_text(payload, "profile", cls.KIND),
-            name=str(payload.get("name", "program")),
-            accuracy_threshold=float(payload.get("accuracy_threshold", 90.0)),
-            stride_threshold=float(payload.get("stride_threshold", 50.0)),
-        )
-
-
-@dataclasses.dataclass(frozen=True)
-class ExperimentJob:
-    """One paper table/figure on the fault-tolerant runner."""
-
-    experiment: str
-    scale: float = 1.0
-    training_runs: int = 5
-
-    KIND = "experiment"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.KIND,
-            "experiment": self.experiment,
-            "scale": self.scale,
-            "training_runs": self.training_runs,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ExperimentJob":
-        scale = payload.get("scale", 1.0)
-        runs = payload.get("training_runs", 5)
-        if isinstance(scale, bool) or not isinstance(scale, (int, float)) or scale <= 0:
-            raise ApiError(INVALID_JOB, "experiment job 'scale' must be positive")
-        if isinstance(runs, bool) or not isinstance(runs, int) or runs < 1:
-            raise ApiError(INVALID_JOB, "experiment job 'training_runs' must be >= 1")
-        return cls(
-            experiment=_require_text(payload, "experiment", cls.KIND),
-            scale=float(scale),
-            training_runs=runs,
-        )
-
-
-@dataclasses.dataclass(frozen=True)
-class FuseJob:
-    """Fuse tenant-uploaded profiles/sketches into one merged image.
-
-    Each ``profiles`` entry is either a ``# repro-profile-image v1``
-    text image verbatim, or a base64-encoded binary sketch
-    (:mod:`repro.profiling.sketch`) — the engine sniffs per entry.  The
-    result output is the merged image in the v1 text format, byte-
-    identical to ``repro fuse`` over the same inputs.
-    """
-
-    profiles: Tuple[str, ...]
-    name: str = "merged"
-    require_common: bool = False
-
-    KIND = "fuse"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.KIND,
-            "profiles": list(self.profiles),
-            "name": self.name,
-            "require_common": self.require_common,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FuseJob":
-        raw = payload.get("profiles")
-        if not isinstance(raw, (list, tuple)) or not raw:
-            raise ApiError(
-                INVALID_JOB, "fuse job 'profiles' must be a non-empty list"
-            )
-        entries: List[str] = []
-        for entry in raw:
-            if not isinstance(entry, str) or not entry:
-                raise ApiError(
-                    INVALID_JOB,
-                    "fuse job 'profiles' entries must be non-empty strings",
-                )
-            entries.append(entry)
-        return cls(
-            profiles=tuple(entries),
-            name=str(payload.get("name", "merged")),
-            require_common=bool(payload.get("require_common", False)),
-        )
-
-
-@dataclasses.dataclass(frozen=True)
-class ClassifyJob:
-    """Re-tag a binary with a learned predictability model.
-
-    ``model`` is a ``repro-classify-model/1`` file verbatim
-    (:mod:`repro.classify`); the result output is the annotated assembly,
-    byte-identical to ``repro classify predict`` over the same inputs.
-    """
-
-    program: str
-    model: str
-    name: str = "program"
-
-    KIND = "classify"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.KIND,
-            "program": self.program,
-            "model": self.model,
-            "name": self.name,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ClassifyJob":
-        return cls(
-            program=_require_text(payload, "program", cls.KIND),
-            model=_require_text(payload, "model", cls.KIND),
-            name=str(payload.get("name", "program")),
-        )
-
-
-Job = Union[
-    CompileJob, TraceJob, ProfileJob, AnnotateJob, ExperimentJob, FuseJob, ClassifyJob
-]
-
-_JOB_TYPES = {
-    cls.KIND: cls
-    for cls in (
-        CompileJob,
-        TraceJob,
-        ProfileJob,
-        AnnotateJob,
-        ExperimentJob,
-        FuseJob,
-        ClassifyJob,
-    )
-}
-
-#: The closed set of job kinds the service accepts.
-JOB_KINDS = tuple(_JOB_TYPES)
-
-
-def job_from_dict(payload: Any) -> Job:
-    """Decode one job payload; raises :class:`ApiError` on anything off."""
-    if not isinstance(payload, dict):
-        raise ApiError(BAD_REQUEST, "job payload must be an object")
-    kind = payload.get("kind")
-    job_type = _JOB_TYPES.get(kind)
-    if job_type is None:
-        raise ApiError(
-            INVALID_JOB,
-            f"unknown job kind {kind!r} (expected one of {', '.join(JOB_KINDS)})",
-        )
-    return job_type.from_dict(payload)
-
-
-def job_digest(job: Job) -> str:
-    """SHA-256 content digest of a job's canonical JSON form."""
-    canonical = json.dumps(job.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 # -- envelopes --------------------------------------------------------------
@@ -512,33 +163,43 @@ class SubmitRequest:
         )
 
 
+class _Envelope:
+    """A response envelope: its fields, plus the schema tag, as JSON.
+
+    ``error`` fields travel as :class:`ErrorInfo` objects; every other
+    field is JSON as it stands.
+    """
+
+    def to_dict(self) -> dict:
+        payload: Dict[str, Any] = {"schema": SCHEMA}
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            payload[field.name] = value.to_dict() if isinstance(value, ErrorInfo) else value
+        return payload
+
+    @classmethod
+    def from_dict(cls, payload: dict):
+        values = {
+            field.name: payload[field.name]
+            for field in dataclasses.fields(cls)
+            if field.name in payload
+        }
+        if values.get("error"):
+            values["error"] = ErrorInfo.from_dict(values["error"])
+        return cls(**values)
+
+
 @dataclasses.dataclass(frozen=True)
-class SubmitReply:
+class SubmitReply(_Envelope):
     """``POST /v1/jobs`` response: the admitted job's identity."""
 
     job_id: str
     state: str
     position: int
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "job_id": self.job_id,
-            "state": self.state,
-            "position": self.position,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SubmitReply":
-        return cls(
-            job_id=str(payload["job_id"]),
-            state=str(payload["state"]),
-            position=int(payload["position"]),
-        )
-
 
 @dataclasses.dataclass(frozen=True)
-class JobStatus:
+class JobStatus(_Envelope):
     """``GET /v1/jobs/<id>`` response: where one job is in its lifecycle."""
 
     job_id: str
@@ -550,36 +211,9 @@ class JobStatus:
     seconds: float = 0.0
     error: Optional[ErrorInfo] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "job_id": self.job_id,
-            "kind": self.kind,
-            "tenant": self.tenant,
-            "state": self.state,
-            "priority": self.priority,
-            "attempts": self.attempts,
-            "seconds": self.seconds,
-            "error": self.error.to_dict() if self.error else None,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "JobStatus":
-        error = payload.get("error")
-        return cls(
-            job_id=str(payload["job_id"]),
-            kind=str(payload["kind"]),
-            tenant=str(payload["tenant"]),
-            state=str(payload["state"]),
-            priority=int(payload.get("priority", 0)),
-            attempts=int(payload.get("attempts", 0)),
-            seconds=float(payload.get("seconds", 0.0)),
-            error=ErrorInfo.from_dict(error) if error else None,
-        )
-
 
 @dataclasses.dataclass(frozen=True)
-class JobResult:
+class JobResult(_Envelope):
     """The terminal outcome of one job.
 
     ``output`` is the job's primary artifact as text — exactly the bytes
@@ -596,32 +230,9 @@ class JobResult:
     meta: Dict[str, Any] = dataclasses.field(default_factory=dict)
     error: Optional[ErrorInfo] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "job_id": self.job_id,
-            "kind": self.kind,
-            "state": self.state,
-            "output": self.output,
-            "meta": self.meta,
-            "error": self.error.to_dict() if self.error else None,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "JobResult":
-        error = payload.get("error")
-        return cls(
-            job_id=str(payload["job_id"]),
-            kind=str(payload["kind"]),
-            state=str(payload["state"]),
-            output=str(payload.get("output", "")),
-            meta=dict(payload.get("meta") or {}),
-            error=ErrorInfo.from_dict(error) if error else None,
-        )
-
 
 @dataclasses.dataclass(frozen=True)
-class ServerStats:
+class ServerStats(_Envelope):
     """``GET /v1/stats`` response: one queue/tenant snapshot."""
 
     state: str
@@ -631,33 +242,6 @@ class ServerStats:
     tenants: Dict[str, int]
     queue_depth: int
     tenant_quota: int
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "state": self.state,
-            "queued": self.queued,
-            "running": self.running,
-            "finished": self.finished,
-            "tenants": dict(self.tenants),
-            "queue_depth": self.queue_depth,
-            "tenant_quota": self.tenant_quota,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ServerStats":
-        return cls(
-            state=str(payload["state"]),
-            queued=int(payload["queued"]),
-            running=int(payload["running"]),
-            finished=int(payload["finished"]),
-            tenants={
-                str(name): int(count)
-                for name, count in (payload.get("tenants") or {}).items()
-            },
-            queue_depth=int(payload["queue_depth"]),
-            tenant_quota=int(payload["tenant_quota"]),
-        )
 
 
 #: Result-stream event names (``GET /v1/jobs/<id>/result`` ndjson lines).

@@ -5,8 +5,9 @@ SIGTERM or a client ``shutdown``), then prints the session's
 :class:`~repro.runner.retry.RunReport` summary and exits with its
 status.  ``client`` mirrors the batch toolchain commands one-for-one —
 ``compile``/``trace``/``profile``/``annotate``/``classify``/``experiment``/``fuse``
-take the same flags and produce the same bytes, just computed by a
-daemon that shares one trace store across every caller — plus ``status``,
+take the flags :data:`repro.operations.OPERATIONS` declares for the
+batch CLI too and produce the same bytes, just computed by a daemon
+that shares one trace store across every caller — plus ``status``,
 ``result``, ``stats``, ``health`` and ``shutdown``.
 
 Both sides speak exclusively through :mod:`repro.service.api` types.
@@ -19,21 +20,13 @@ import asyncio
 import signal
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Optional
 
+from ..operations import OPERATIONS, write_output
 from ..runner.cache import default_cache_dir
 from ..runner.retry import RetryPolicy
 from ..telemetry import enable as enable_telemetry
-from .api import (
-    AnnotateJob,
-    ApiError,
-    ClassifyJob,
-    CompileJob,
-    ExperimentJob,
-    FuseJob,
-    ProfileJob,
-    TraceJob,
-)
+from .api import ApiError
 from .client import ServiceClient
 from .engine import ServiceEngine
 from .server import ServiceServer
@@ -81,10 +74,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         help="extra attempts per failed job (default 0)",
     )
     parser.add_argument(
-        "--job-timeout", type=float, default=None, metavar="SECONDS",
-        help="reserved per-attempt budget recorded in the retry policy",
-    )
-    parser.add_argument(
         "--report-json", default=None, metavar="PATH",
         help="write the drain RunReport here as JSON",
     )
@@ -100,9 +89,7 @@ def run_serve(arguments: argparse.Namespace) -> int:
     engine = ServiceEngine(
         store_dir=store_dir,
         cache_dir=cache_dir,
-        retry=RetryPolicy.from_cli(
-            retries=arguments.retries, job_timeout=arguments.job_timeout
-        ),
+        retry=RetryPolicy.from_cli(retries=arguments.retries),
     )
     server = ServiceServer(
         engine=engine,
@@ -161,100 +148,8 @@ def add_client_arguments(parser: argparse.ArgumentParser) -> None:
     )
     actions = parser.add_subparsers(dest="action", required=True)
 
-    compile_parser = actions.add_parser(
-        "compile", help="compile mini-C to assembly on the server"
-    )
-    compile_parser.add_argument("source", help="mini-C source file")
-    compile_parser.add_argument("-o", "--output", help="assembly output (default stdout)")
-    compile_parser.add_argument(
-        "--no-optimize", action="store_true", help="disable -O2 stand-in passes"
-    )
-
-    trace_parser = actions.add_parser(
-        "trace", help="execute once on the server; result is the textual trace"
-    )
-    trace_parser.add_argument("program", help="assembly file")
-    trace_parser.add_argument(
-        "--inputs", action="append",
-        help="input stream: '1,2,3' inline or '@file' (repeatable; "
-        "streams concatenate)",
-    )
-    trace_parser.add_argument(
-        "--max-instructions", type=int, default=None, help="dynamic budget"
-    )
-    trace_parser.add_argument("-o", "--output", help="trace output (default stdout)")
-
-    profile_parser = actions.add_parser(
-        "profile", help="collect a profile image on the server (phase 2)"
-    )
-    profile_parser.add_argument("program", help="assembly file")
-    profile_parser.add_argument(
-        "--inputs", action="append",
-        help="one training input stream per flag (repeatable)",
-    )
-    profile_parser.add_argument(
-        "--max-instructions", type=int, default=None, help="dynamic budget"
-    )
-    profile_parser.add_argument(
-        "--sample-every",
-        type=int,
-        default=1,
-        metavar="K",
-        help="keep every K-th dynamic record (1 = full profile, the default)",
-    )
-    profile_parser.add_argument("-o", "--output", help="profile output (default stdout)")
-
-    annotate_parser = actions.add_parser(
-        "annotate", help="insert value-prediction directives (phase 3)"
-    )
-    annotate_parser.add_argument("program", help="assembly file")
-    annotate_parser.add_argument("profile", help="profile image file")
-    annotate_parser.add_argument(
-        "--threshold", type=float, default=90.0, help="accuracy threshold [%%]"
-    )
-    annotate_parser.add_argument(
-        "--stride-threshold", type=float, default=50.0,
-        help="stride-efficiency split [%%]",
-    )
-    annotate_parser.add_argument(
-        "-o", "--output", help="annotated assembly output (default stdout)"
-    )
-
-    experiment_parser = actions.add_parser(
-        "experiment", help="run one paper table/figure on the server"
-    )
-    experiment_parser.add_argument("experiment", help="experiment id (e.g. table-5.2)")
-    experiment_parser.add_argument(
-        "--scale", type=float, default=1.0, help="workload input scale"
-    )
-    experiment_parser.add_argument(
-        "--training-runs", type=int, default=5,
-        help="training input sets to profile (default 5)",
-    )
-
-    fuse_parser = actions.add_parser(
-        "fuse", help="fuse many profile images/sketches on the server"
-    )
-    fuse_parser.add_argument(
-        "profiles", nargs="+",
-        help="profile/sketch files or glob patterns (formats auto-detected)",
-    )
-    fuse_parser.add_argument(
-        "--require-common", action="store_true",
-        help="keep only instructions present in every input",
-    )
-    fuse_parser.add_argument(
-        "-o", "--output", help="merged profile output (default stdout)"
-    )
-
-    classify_parser = actions.add_parser(
-        "classify", help="re-tag a binary with a learned model on the server"
-    )
-    classify_parser.add_argument("model", help="repro-classify-model file")
-    classify_parser.add_argument("program", help="assembly file")
-    classify_parser.add_argument(
-        "-o", "--output", help="annotated assembly output (default stdout)"
-    )
+    for operation in OPERATIONS.values():
+        operation.add_arguments(actions.add_parser(operation.name, help=operation.doc))
 
     status_parser = actions.add_parser("status", help="one job's lifecycle state")
     status_parser.add_argument("job_id")
@@ -270,87 +165,6 @@ def add_client_arguments(parser: argparse.ArgumentParser) -> None:
     actions.add_parser(
         "shutdown", help="drain the server and print its session RunReport"
     )
-
-
-def _write_output(text: str, output: Optional[str]) -> None:
-    if output is None or output == "-":
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text, encoding="utf-8")
-
-
-def _build_job(arguments: argparse.Namespace):
-    from ..cli import parse_input_sets, parse_input_stream
-
-    action = arguments.action
-    if action == "compile":
-        path = Path(arguments.source)
-        return CompileJob(
-            source=path.read_text(encoding="utf-8"),
-            name=path.stem,
-            optimize=not arguments.no_optimize,
-        )
-    if action == "trace":
-        path = Path(arguments.program)
-        return TraceJob(
-            program=path.read_text(encoding="utf-8"),
-            name=path.stem,
-            inputs=tuple(parse_input_stream(arguments.inputs or [])),
-            max_instructions=arguments.max_instructions,
-        )
-    if action == "profile":
-        path = Path(arguments.program)
-        return ProfileJob(
-            program=path.read_text(encoding="utf-8"),
-            name=path.stem,
-            input_sets=tuple(
-                tuple(inputs) for inputs in parse_input_sets(arguments.inputs or [""])
-            ),
-            max_instructions=arguments.max_instructions,
-            sample_every=arguments.sample_every,
-        )
-    if action == "annotate":
-        path = Path(arguments.program)
-        return AnnotateJob(
-            program=path.read_text(encoding="utf-8"),
-            profile=Path(arguments.profile).read_text(encoding="utf-8"),
-            name=path.stem,
-            accuracy_threshold=arguments.threshold,
-            stride_threshold=arguments.stride_threshold,
-        )
-    if action == "classify":
-        path = Path(arguments.program)
-        return ClassifyJob(
-            program=path.read_text(encoding="utf-8"),
-            model=Path(arguments.model).read_text(encoding="utf-8"),
-            name=path.stem,
-        )
-    if action == "experiment":
-        return ExperimentJob(
-            experiment=arguments.experiment,
-            scale=arguments.scale,
-            training_runs=arguments.training_runs,
-        )
-    if action == "fuse":
-        import glob as glob_module
-
-        from ..profiling import encode_profile_payload
-
-        paths: List[str] = []
-        for pattern in arguments.profiles:
-            matches = sorted(glob_module.glob(pattern))
-            if not matches:
-                raise ApiError(
-                    "invalid-job", f"no profiles match {pattern!r}"
-                )
-            paths.extend(match for match in matches if match not in paths)
-        return FuseJob(
-            profiles=tuple(
-                encode_profile_payload(Path(path).read_bytes()) for path in paths
-            ),
-            require_common=arguments.require_common,
-        )
-    return None
 
 
 def run_client(arguments: argparse.Namespace) -> int:
@@ -381,15 +195,15 @@ def run_client(arguments: argparse.Namespace) -> int:
             return 0
         if action == "result":
             result = client.result(arguments.job_id)
-            _write_output(result.output, arguments.output)
+            write_output(result.output, arguments.output)
             return 0
         if action == "shutdown":
             report = client.shutdown()
             print(report.format())
             return report.exit_code
-        job = _build_job(arguments)
+        job = OPERATIONS[action].job_from_arguments(arguments)
         result = client.run(job, tenant=arguments.tenant, priority=arguments.priority)
-        _write_output(result.output, getattr(arguments, "output", None))
+        write_output(result.output, getattr(arguments, "output", None))
         meta = " ".join(f"{key}={value}" for key, value in sorted(result.meta.items())
                         if not isinstance(value, (dict, list)))
         print(f"{result.job_id} done {meta}".rstrip(), file=sys.stderr)

@@ -23,6 +23,7 @@ with the taxonomy code the server chose.
 
 from __future__ import annotations
 
+import dataclasses
 import http.client
 import json
 from typing import Any, Dict, Iterator, Optional, Tuple
@@ -141,16 +142,10 @@ class ServiceClient:
             if kind == api.EVENT_CHUNK:
                 chunks.append(event.get("data", ""))
             elif kind == api.EVENT_END:
-                result = JobResult.from_dict(event["result"])
                 # The chunks are authoritative for the output bytes; the
                 # end event repeats them only for single-shot consumers.
-                return JobResult(
-                    job_id=result.job_id,
-                    kind=result.kind,
-                    state=result.state,
-                    output="".join(chunks),
-                    meta=result.meta,
-                    error=result.error,
+                return dataclasses.replace(
+                    JobResult.from_dict(event["result"]), output="".join(chunks)
                 )
             elif kind == api.EVENT_ERROR:
                 result = JobResult.from_dict(event["result"])

@@ -6,12 +6,13 @@ once, every later job replays it), the on-disk
 :class:`~repro.runner.cache.ArtifactCache`, and the
 :class:`~repro.runner.retry.RetryPolicy` under which jobs re-run.
 
-Each ``run_*`` method reproduces the corresponding batch CLI command's
-computation exactly — same entry points, same ``run_label`` strings,
-same default budgets — so a service :class:`~repro.service.api.JobResult`
-``output`` is byte-identical to the bytes ``python -m repro
-compile/trace/profile/annotate/experiments`` would have produced.  The
-e2e test and the CI smoke job assert this equivalence.
+The ``run_<kind>`` methods are generated from
+:data:`repro.operations.OPERATIONS`: each calls the operation's own
+``run`` with the engine's shared trace store, the very code the batch
+CLI runs with no store, so a service
+:class:`~repro.service.api.JobResult` ``output`` is byte-identical to
+the bytes ``python -m repro compile/trace/profile/...`` would have
+produced.  The pinned-digest tests and the CI smoke job assert this.
 
 Experiment jobs genuinely multiplex onto the fault-tolerant runner:
 the job graph is built by :func:`repro.runner.build_experiment_graph`
@@ -27,42 +28,19 @@ per-kind telemetry uses the registry's monotonic instruments.
 
 from __future__ import annotations
 
-import io
 import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
-from ..annotate import AnnotationPolicy, annotate_program, annotation_report
-from ..isa import assemble, disassemble
-from ..lang import CompileError, compile_source
-from ..machine import DEFAULT_BUDGET, ExecutionError, TraceStore
-from ..machine.tracestore import trace_key
-from ..profiling import (
-    MergeAccumulator,
-    ProfileFormatError,
-    collect_profile,
-    decode_profile_payload,
-    dumps_profile,
-    loads_profile,
-    merge_profiles,
-)
+from ..lang import CompileError
+from ..machine import ExecutionError, TraceStore
+from ..operations import OPERATIONS, Operation
+from ..profiling import ProfileFormatError
 from ..runner.cache import ArtifactCache
 from ..runner.retry import RetryPolicy
 from ..telemetry import get_registry
-from .api import (
-    AnnotateJob,
-    ApiError,
-    ClassifyJob,
-    CompileJob,
-    EXECUTION_ERROR,
-    ExperimentJob,
-    FuseJob,
-    INVALID_JOB,
-    Job,
-    ProfileJob,
-    TraceJob,
-)
+from .api import EXECUTION_ERROR, INVALID_JOB, ApiError, ExperimentJob, Job
 
 #: Exceptions that mean the *job* is wrong, not the server — never retried.
 _JOB_FAULTS = (CompileError, ProfileFormatError, SyntaxError, ValueError, KeyError)
@@ -98,6 +76,7 @@ class ServiceEngine:
     def execute(self, job: Job) -> Tuple[str, Dict[str, Any]]:
         """Run one job; returns ``(output text, meta)``.
 
+        Dispatches to ``self.run_<kind>``, looked up at call time.
         Raises :class:`ApiError` — ``invalid-job`` for payloads that can
         never succeed (never retried by the server), ``execution-error``
         for runs the machine terminated.  Any other exception is a
@@ -106,25 +85,13 @@ class ServiceEngine:
         telemetry = get_registry()
         started = time.perf_counter()
         try:
-            if isinstance(job, CompileJob):
-                result = self.run_compile(job)
-            elif isinstance(job, TraceJob):
-                result = self.run_trace(job)
-            elif isinstance(job, ProfileJob):
-                result = self.run_profile(job)
-            elif isinstance(job, AnnotateJob):
-                result = self.run_annotate(job)
-            elif isinstance(job, ExperimentJob):
-                result = self.run_experiment(job)
-            elif isinstance(job, FuseJob):
-                result = self.run_fuse(job)
-            elif isinstance(job, ClassifyJob):
-                result = self.run_classify(job)
-            else:  # pragma: no cover - decoding rejects unknown kinds
-                raise ApiError(INVALID_JOB, f"unsupported job type {type(job).__name__}")
+            result = getattr(self, f"run_{job.KIND}")(job)
         except ApiError:
             telemetry.counter("serve.jobs_failed").add(1)
             raise
+        except ExecutionError as error:
+            telemetry.counter("serve.jobs_failed").add(1)
+            raise ApiError(EXECUTION_ERROR, f"{type(error).__name__}: {error}") from error
         except _JOB_FAULTS as error:
             telemetry.counter("serve.jobs_failed").add(1)
             raise ApiError(INVALID_JOB, f"{type(error).__name__}: {error}") from error
@@ -135,116 +102,7 @@ class ServiceEngine:
         telemetry.counter("serve.jobs").add(1)
         return result
 
-    # -- per-kind computations (each mirrors one CLI command) --------
-
-    def _assemble(self, text: str, name: str):
-        try:
-            return assemble(text, name=name)
-        except Exception as error:
-            raise ApiError(INVALID_JOB, f"bad program: {error}") from error
-
-    def run_compile(self, job: CompileJob) -> Tuple[str, Dict[str, Any]]:
-        program = compile_source(job.source, name=job.name, optimize=job.optimize)
-        meta = {
-            "name": program.name,
-            "instructions": len(program),
-            "candidates": len(program.candidate_addresses),
-        }
-        return disassemble(program), meta
-
-    def run_trace(self, job: TraceJob) -> Tuple[str, Dict[str, Any]]:
-        program = self._assemble(job.program, job.name)
-        budget = DEFAULT_BUDGET if job.max_instructions is None else job.max_instructions
-        buffer = io.StringIO()
-        buffer.write("# repro-trace v1\n")
-        buffer.write(f"# program: {program.name}\n")
-        count = 0
-        try:
-            for batch in self.traces.batches(
-                program, job.inputs, max_instructions=budget
-            ):
-                count += write_trace_records(batch, buffer)
-        except ExecutionError as error:
-            raise ApiError(
-                EXECUTION_ERROR, f"{type(error).__name__}: {error}"
-            ) from error
-        meta = {
-            "records": count,
-            "trace_key": trace_key(program, list(job.inputs), budget),
-        }
-        return buffer.getvalue(), meta
-
-    def run_profile(self, job: ProfileJob) -> Tuple[str, Dict[str, Any]]:
-        program = self._assemble(job.program, job.name)
-        try:
-            images = [
-                collect_profile(
-                    program,
-                    list(inputs),
-                    run_label=f"run-{index}",
-                    max_instructions=job.max_instructions,
-                    sample_every=job.sample_every,
-                    store=self.traces,
-                )
-                for index, inputs in enumerate(job.input_sets)
-            ]
-        except ExecutionError as error:
-            raise ApiError(
-                EXECUTION_ERROR, f"{type(error).__name__}: {error}"
-            ) from error
-        image = images[0] if len(images) == 1 else merge_profiles(images)
-        meta = {"instructions": len(image), "runs": len(images)}
-        return dumps_profile(image), meta
-
-    def run_fuse(self, job: FuseJob) -> Tuple[str, Dict[str, Any]]:
-        accumulator = MergeAccumulator(
-            run_label=job.name, require_common=job.require_common
-        )
-        sketches = 0
-        for payload in job.profiles:
-            if not payload.startswith("# repro-profile-image"):
-                sketches += 1
-            accumulator.fold(decode_profile_payload(payload))
-        image = accumulator.result()
-        meta = {
-            "images": accumulator.images_folded,
-            "sketches": sketches,
-            "instructions": len(image),
-        }
-        return dumps_profile(image), meta
-
-    def run_annotate(self, job: AnnotateJob) -> Tuple[str, Dict[str, Any]]:
-        program = self._assemble(job.program, job.name)
-        image = loads_profile(job.profile)
-        policy = AnnotationPolicy(
-            accuracy_threshold=job.accuracy_threshold,
-            stride_threshold=job.stride_threshold,
-        )
-        annotated = annotate_program(program, image, policy)
-        report = annotation_report(program, image, policy)
-        meta = {
-            "candidates": report.candidates,
-            "stride_tagged": report.stride_tagged,
-            "last_value_tagged": report.last_value_tagged,
-        }
-        return disassemble(annotated), meta
-
-    def run_classify(self, job: ClassifyJob) -> Tuple[str, Dict[str, Any]]:
-        from ..classify import ModelFormatError, annotate_with_model, loads_model, model_digest
-
-        program = self._assemble(job.program, job.name)
-        try:
-            model = loads_model(job.model)
-        except ModelFormatError as error:
-            raise ApiError(INVALID_JOB, f"bad model: {error}") from error
-        annotated = annotate_with_model(model, program)
-        directives = annotated.directives()
-        meta = {
-            "candidates": len(program.candidate_addresses),
-            "tagged": len(directives),
-            "model_digest": model_digest(model),
-        }
-        return disassemble(annotated), meta
+    # -- experiment jobs run on the engine's own fault-tolerant runner ----
 
     def run_experiment(self, job: ExperimentJob) -> Tuple[str, Dict[str, Any]]:
         from ..experiments.runner import EXPERIMENTS
@@ -297,20 +155,21 @@ class ServiceEngine:
             return context
 
 
-def write_trace_records(batch, stream: io.StringIO) -> int:
-    """Append one :class:`~repro.machine.TraceBatch`'s records to ``stream``.
+def _run_on_shared_store(operation: Operation):
+    def run(self: ServiceEngine, job: Job) -> Tuple[str, Dict[str, Any]]:
+        return operation.run(job, self.traces)
 
-    Emits exactly the body lines :func:`repro.machine.write_trace`
-    writes, so a streamed service trace concatenates to the batch CLI's
-    file format.
-    """
-    count = 0
-    for record in batch.records():
-        value = "-" if record.value is None else repr(record.value)
-        mem = "-" if record.mem_address is None else repr(record.mem_address)
-        stream.write(f"{record.address} {value} {record.phase} {mem}\n")
-        count += 1
-    return count
+    run.__name__ = f"run_{operation.name}"
+    run.__qualname__ = f"ServiceEngine.{run.__name__}"
+    run.__doc__ = operation.doc
+    return run
+
+
+# One ``run_<kind>`` method per operation in the table: the daemon runs
+# exactly what the batch CLI runs, against the tenant-wide TraceStore.
+for _operation in OPERATIONS.values():
+    if _operation.run is not None:
+        setattr(ServiceEngine, f"run_{_operation.name}", _run_on_shared_store(_operation))
 
 
 __all__ = ["ServiceEngine"]

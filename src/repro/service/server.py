@@ -64,6 +64,11 @@ _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
             500: "Internal Server Error", 503: "Service Unavailable"}
 
 
+def _reject_constant(name: str) -> None:
+    """``NaN``/``Infinity`` are not JSON; Python's parser admits them."""
+    raise ValueError(f"non-finite number {name}")
+
+
 class JobEntry:
     """Server-side lifecycle record of one admitted job."""
 
@@ -389,8 +394,8 @@ class ServiceServer:
 
     def _decode_submit(self, body: bytes) -> api.SubmitRequest:
         try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+            payload = json.loads(body.decode("utf-8"), parse_constant=_reject_constant)
+        except ValueError as error:  # bad UTF-8, bad JSON, NaN or +-Infinity
             raise ApiError(api.BAD_REQUEST, f"body is not JSON: {error}") from error
         return api.SubmitRequest.from_dict(payload)
 

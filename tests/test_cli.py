@@ -180,3 +180,29 @@ class TestPipeline:
             a: (p.attempts, p.correct)
             for a, p in live_image.instructions.items()
         }
+
+    def test_fuse_reads_crlf_profile_images(self, demo, capsys):
+        # Local fuse reads files in text mode, so an image with CRLF line
+        # ends (e.g. copied through a Windows checkout) still fuses.
+        directory, source = demo
+        assembly = directory / "demo.asm"
+        profile = directory / "demo.profile"
+        main(["compile", str(source), "-o", str(assembly)])
+        main(["profile", str(assembly), "--inputs", "1,2,3,4,5,6,7,8",
+              "-o", str(profile)])
+        crlf = directory / "crlf.profile"
+        crlf.write_bytes(profile.read_bytes().replace(b"\n", b"\r\n"))
+        capsys.readouterr()
+        assert main(["fuse", str(profile)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["fuse", str(crlf)]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_classify_train_eval(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        corpus = ["--corpus-seed", "7", "--corpus-count", "4",
+                  "--train-count", "2", "--scale", "0.1"]
+        assert main(["classify", "train", *corpus, "-o", str(model)]) == 0
+        assert "trained on 2 programs" in capsys.readouterr().err
+        main(["classify", "eval", str(model), *corpus])
+        assert "majority baseline" in capsys.readouterr().out

@@ -203,6 +203,21 @@ class TestEndToEnd:
         assert status == 400
         assert payload["error"]["code"] == api.BAD_REQUEST
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_is_400(self, service, constant):
+        # json.dumps spells these as bare NaN/Infinity tokens, which
+        # Python's json.loads would otherwise admit.
+        job = api.ExperimentJob(experiment="fig-5.1", scale=float(constant))
+        body = api.SubmitRequest(job=job).to_dict()
+        before = service.stats()
+        status, payload = service._request("POST", api.JOBS_PATH, body)
+        assert status == 400
+        assert payload["error"]["code"] == api.BAD_REQUEST
+        after = service.stats()
+        assert (after.queued + after.running + after.finished) == (
+            before.queued + before.running + before.finished
+        )
+
     def test_invalid_job_rejected_at_submit(self, service):
         with pytest.raises(ApiError) as info:
             service.submit(CompileJob(source=""))

@@ -76,6 +76,16 @@ class TestJobValidation:
             {"kind": "experiment", "experiment": "fig-5.1", "scale": 0},
             {"kind": "experiment", "experiment": "fig-5.1", "training_runs": 0},
             {"kind": "experiment", "experiment": "fig-5.1", "training_runs": 1.5},
+            # Wrong JSON types and out-of-range values in otherwise valid jobs.
+            {"kind": "compile", "source": "x", "optimize": "false"},  # not a bool
+            {"kind": "fuse", "profiles": ["p"], "require_common": "no"},
+            {"kind": "compile", "source": "x", "name": None},  # not a string
+            {"kind": "trace", "program": "x", "max_instructions": -5},
+            {"kind": "trace", "program": "x", "max_instructions": 0},
+            {"kind": "profile", "program": "x", "max_instructions": -5},
+            {"kind": "experiment", "experiment": "fig-5.1", "scale": float("inf")},
+            {"kind": "annotate", "program": "x", "profile": "p",
+             "accuracy_threshold": float("nan")},
         ],
     )
     def test_invalid_payloads(self, payload):
