@@ -31,6 +31,13 @@ Each :class:`OraclePair` names one equivalence the codebase relies on:
     ``REPRO_NO_NUMPY`` forced — on the generated case (which exercises
     mid-run demotion: generated programs always produce floats) *and*
     on an all-integer twin of it (which exercises the actual fold).
+``ilp-batch-vs-record``
+    ``measure_ilp_many`` (the batch walker over engine outcome codes)
+    against the per-record reference — ``WindowScheduler.feed`` over
+    ``TraceBatch.records()`` calling ``PredictionEngine.step`` — for the
+    ten-engine grid plus finite-table stride engines and a no-prediction
+    machine, under non-default window, penalty and memory settings;
+    results and every engine's end state, faulting runs included.
 ``capture-shard-vs-serial``
     ``capture_sharded`` at ``jobs=2`` against a serial capture of the
     same input sets, compared by store-directory fingerprint and
@@ -734,6 +741,87 @@ def _check_simulate_vec(case: CheckCase, budget: int):
     return None
 
 
+def _ilp_observation(case: CheckCase, measure) -> Dict[str, object]:
+    """One ILP grid run by ``measure(program, engines, configs)``.
+
+    Labels cycle through non-default machines so the window ring, the
+    penalty and the untracked-memory table all face the reference.
+    """
+    from ..core.schemes import HardwareClassification, ProfileClassification
+    from ..core.simulate import PredictionEngine
+    from ..ilp import IlpConfig
+    from ..predictors import StridePredictor
+
+    program = case.program
+    engines = dict(_engine_grid(program))
+    directives = {
+        address: Directive.STRIDE for address in program.candidate_addresses
+    }
+    for entries in (512, 8):
+        engines[f"stride{entries}x2/fsm"] = PredictionEngine(
+            program, StridePredictor(entries, 2), HardwareClassification()
+        )
+        engines[f"stride{entries}x2/profile"] = PredictionEngine(
+            program,
+            StridePredictor(entries, 2),
+            ProfileClassification.from_directives(directives),
+        )
+    engines["novp"] = None
+    engines["novp/w4"] = None
+    machines = (
+        IlpConfig(),
+        IlpConfig(window_size=4),
+        IlpConfig(misprediction_penalty=3),
+        IlpConfig(track_memory_dependencies=False),
+    )
+    configs = {
+        label: machines[index % len(machines)]
+        for index, label in enumerate(engines)
+    }
+    outcome: Tuple[str, ...] = ("halt",)
+    results = {}
+    try:
+        results = {
+            label: result.to_dict()
+            for label, result in measure(program, engines, configs).items()
+        }
+    except ExecutionError as exc:
+        outcome = ("error", type(exc).__name__, str(exc))
+    return {
+        "outcome": outcome,
+        "results": results,
+        "engines": {
+            label: _observe_engine(engine)
+            for label, engine in engines.items()
+            if engine is not None
+        },
+    }
+
+
+def _check_ilp_batch_vs_record(case: CheckCase, budget: int):
+    from ..ilp import measure_ilp_many
+    from ..ilp.model import reference_ilp_many
+
+    inputs = list(case.inputs)
+
+    def batch(program, engines, configs):
+        return measure_ilp_many(
+            program, inputs, engines, configs=configs, max_instructions=budget
+        )
+
+    def record(program, engines, configs):
+        batches = Executor(
+            program, inputs=inputs, max_instructions=budget
+        ).run_batches()
+        return reference_ilp_many(program, batches, engines, configs=configs)
+
+    return first_divergence(
+        _ilp_observation(case, batch),
+        _ilp_observation(case, record),
+        "$ilp",
+    )
+
+
 def _store_fingerprint(directory) -> Dict[str, str]:
     """Relative path -> content hash for every file under ``directory``."""
     import hashlib
@@ -904,6 +992,11 @@ _PAIRS: Tuple[OraclePair, ...] = (
         "simulate-vec-vs-pure",
         "vectorized simulation backend vs the pure-Python consumers",
         True, _check_simulate_vec,
+    ),
+    OraclePair(
+        "ilp-batch-vs-record",
+        "ILP batch walker over outcome codes vs per-record WindowScheduler",
+        True, _check_ilp_batch_vs_record,
     ),
     OraclePair(
         "capture-shard-vs-serial",

@@ -13,7 +13,10 @@ plays one step of the predictor + classification-scheme protocol:
 
 The same driver serves the infinite-table classification-accuracy study
 (Figures 5.1/5.2), the finite-table pressure study (Figures 5.3/5.4,
-Table 5.1) and, through :class:`PredictionEngine`, the ILP model.
+Table 5.1) and the ILP model, which runs the batch consumers below with
+an outcome sink: one code per candidate (``NOT_TAKEN``,
+``TAKEN_CORRECT``, ``TAKEN_WRONG``), the ``(taken, correct)`` pair
+:meth:`PredictionEngine.step` returns.
 
 The trace is consumed in columnar batches
 (:meth:`~repro.machine.Executor.run_batches`, optionally captured
@@ -299,13 +302,27 @@ def _build_consumers(engine_list):
     return consumers, finishers
 
 
-def _generic_consumer(engine: PredictionEngine):
-    """Batch consumer for arbitrary engines: one ``step`` per candidate."""
+#: Per-candidate outcome codes a consumer writes into its optional sink.
+NOT_TAKEN, TAKEN_CORRECT, TAKEN_WRONG = 0, 1, 2
+
+
+def _generic_consumer(engine: PredictionEngine, sink: Optional[list] = None):
+    """Batch consumer for arbitrary engines: one ``step`` per candidate.
+
+    With a ``sink``, appends one outcome code per candidate to it.
+    """
+    emit = sink.append if sink is not None else None
 
     def consume(pairs) -> None:
         step = engine.step
         for address, value in pairs:
-            step(address, value)
+            taken, correct = step(address, value)
+            if emit is not None:
+                emit(
+                    (TAKEN_CORRECT if correct else TAKEN_WRONG)
+                    if taken
+                    else NOT_TAKEN
+                )
 
     return consume
 
@@ -384,7 +401,7 @@ def _follower_finisher(engine: PredictionEngine, shared, leader):
 _STOCK_SCHEMES = (AlwaysClassification, HardwareClassification, ProfileClassification)
 
 
-def _fast_stride_consumer(engine: PredictionEngine):
+def _fast_stride_consumer(engine: PredictionEngine, sink: Optional[list] = None):
     """Inlined batch consumer for stride-predictor engines, or ``None``.
 
     Eligibility requires a plain :class:`StridePredictor` and a stock
@@ -396,7 +413,9 @@ def _fast_stride_consumer(engine: PredictionEngine):
 
     Returns ``(consume, finish, shared)`` where ``shared`` is a
     :class:`_SharedStride` handle when the engine qualifies for
-    leader/follower sharing, else ``None``.
+    leader/follower sharing, else ``None``.  With a ``sink``, ``consume``
+    appends one outcome code per candidate to it, as ``step`` would
+    have returned it.
     """
     if type(engine.predictor) is not StridePredictor:
         return None
@@ -432,6 +451,7 @@ def _fast_stride_consumer(engine: PredictionEngine):
         else scheme.record
     )
     on_evict = scheme.on_evict
+    emit = sink.append if sink is not None else None
 
     acc: "dict[int, List[int]]" = {}
     totals = [0, 0, 0, 0, 0, 0, 0]
@@ -466,6 +486,8 @@ def _fast_stride_consumer(engine: PredictionEngine):
                         entries[address] = StrideEntry(value)
                         allocs += 1
                         slot[5] += 1
+                    if emit is not None:
+                        emit(NOT_TAKEN)
                     continue
                 hits += 1
                 last = entry.last_value
@@ -488,6 +510,12 @@ def _fast_stride_consumer(engine: PredictionEngine):
                     if correct:
                         taken_c += 1
                         slot[4] += 1
+                if emit is not None:
+                    emit(
+                        (TAKEN_CORRECT if correct else TAKEN_WRONG)
+                        if took
+                        else NOT_TAKEN
+                    )
                 if record_call is not None:
                     record_call(address, correct)
             totals[0] += executions
@@ -531,6 +559,8 @@ def _fast_stride_consumer(engine: PredictionEngine):
                         table_set[address] = StrideEntry(value)
                         allocs += 1
                         slot[5] += 1
+                    if emit is not None:
+                        emit(NOT_TAKEN)
                     continue
                 hits += 1
                 table_set.move_to_end(address)
@@ -554,6 +584,12 @@ def _fast_stride_consumer(engine: PredictionEngine):
                     if correct:
                         taken_c += 1
                         slot[4] += 1
+                if emit is not None:
+                    emit(
+                        (TAKEN_CORRECT if correct else TAKEN_WRONG)
+                        if took
+                        else NOT_TAKEN
+                    )
                 if record_call is not None:
                     record_call(address, correct)
             totals[0] += executions

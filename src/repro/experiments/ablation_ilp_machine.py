@@ -66,8 +66,14 @@ def run(context: ExperimentContext) -> ExperimentTable:
             engines[f"base-p{penalty}"] = None
             engines[f"vp-p{penalty}"] = fresh_engine()
 
+        # The store key ignores directives: the annotated binary replays
+        # the base binary's test trace.
         results = measure_ilp_many(
-            annotated, context.test_inputs(name), engines, configs=configs
+            annotated,
+            context.test_inputs(name),
+            engines,
+            configs=configs,
+            store=context.traces,
         )
         window_gains = [
             ilp_increase(results[f"vp-w{w}"], results[f"base-w{w}"]) for w in WINDOWS

@@ -51,6 +51,10 @@ KNOWN_METRICS: FrozenSet[str] = frozenset(
         "core.taken_correct",
         "core.would_correct",
         "core.allocations",
+        # ilp: the abstract-machine scheduler (per call, never per record).
+        "ilp.schedule",
+        "ilp.configs",
+        "ilp.scheduled_instructions",
         # simulate.vec: the vectorized (numpy) analysis backend.
         "simulate.vec.runs",
         "simulate.vec.records",

@@ -11,6 +11,7 @@ from repro.core import (
 )
 from repro.isa import assemble
 from repro.ilp import IlpConfig, measure_ilp, measure_ilp_many, ilp_increase
+from repro.ilp.model import reference_ilp_many
 from repro.predictors import StridePredictor
 
 SERIAL_CHAIN = """
@@ -47,6 +48,23 @@ loop:
     add r4, r3, r1
     slt r5, r1, r2
     bnez r5, loop
+    halt
+"""
+
+MEMORY_LOOP = """
+.text
+    li r1, 0
+    li r2, 60
+loop:
+    st r1, gp, 0
+    ld r3, gp, 0
+    addi r3, r3, 3
+    st r3, gp, 1
+    ld r4, gp, 1
+    mul r5, r4, r1
+    addi r1, r1, 1
+    slt r6, r1, r2
+    bnez r6, loop
     halt
 """
 
@@ -229,3 +247,202 @@ class TestPerLabelConfigs:
         individual_w64 = measure_ilp(program, config=IlpConfig(window_size=64))
         assert swept["w4"].cycles == individual_w4.cycles
         assert swept["w64"].cycles == individual_w64.cycles
+
+
+class TestInputValidation:
+    def test_config_label_without_engine_rejected(self):
+        program = assemble(STRIDE_LOOP)
+        with pytest.raises(ValueError, match="wdie"):
+            measure_ilp_many(
+                program,
+                (),
+                engines={"wide": None},
+                configs={"wdie": IlpConfig(window_size=2)},
+            )
+
+    def test_empty_engines_rejected(self):
+        program = assemble(STRIDE_LOOP)
+        with pytest.raises(ValueError, match="need at least one engine"):
+            measure_ilp_many(program, (), engines={})
+
+    def test_engine_shared_by_two_labels_rejected(self):
+        program = assemble(STRIDE_LOOP)
+        engine = TestMultiConfig.engine(program)
+        with pytest.raises(ValueError, match="its own PredictionEngine"):
+            measure_ilp_many(program, (), engines={"a": engine, "b": engine})
+
+
+def _grid(program):
+    """A no-VP machine plus stride engines on infinite and evicting tables."""
+    from repro.core import ProfileClassification
+    from repro.isa import Directive
+
+    directives = {
+        address: Directive.STRIDE for address in program.candidate_addresses
+    }
+    return {
+        "novp": None,
+        "always": PredictionEngine(
+            program, StridePredictor(), AlwaysClassification()
+        ),
+        "fsm": PredictionEngine(
+            program, StridePredictor(2, 1), HardwareClassification()
+        ),
+        "profile": PredictionEngine(
+            program,
+            StridePredictor(2, 2),
+            ProfileClassification.from_directives(directives),
+        ),
+    }
+
+
+def _engine_states(engines):
+    from repro.check.oracle import _observe_engine
+
+    return {
+        label: _observe_engine(engine)
+        for label, engine in engines.items()
+        if engine is not None
+    }
+
+
+class TestTraceStore:
+    def test_second_call_replays_instead_of_capturing(self):
+        from repro.machine import TraceStore
+        from repro.telemetry import Telemetry, use_registry
+
+        program = assemble(STRIDE_LOOP)
+        store = TraceStore()
+        with use_registry(Telemetry()) as registry:
+            first = measure_ilp_many(program, (), _grid(program), store=store)
+            counters = registry.snapshot()["counters"]
+            assert counters["machine.trace.captures"] == 1
+            assert "machine.trace.replays" not in counters
+            second = measure_ilp_many(program, (), _grid(program), store=store)
+            counters = registry.snapshot()["counters"]
+        assert counters["machine.trace.captures"] == 1
+        assert counters["machine.trace.replays"] == 1
+        assert second == first
+
+    def test_results_and_engines_equal_with_and_without_store(self):
+        from repro.machine import TraceStore
+
+        program = assemble(STRIDE_LOOP)
+        live_engines = _grid(program)
+        live = measure_ilp_many(program, (), live_engines)
+        store = TraceStore()
+        measure_ilp_many(program, (), _grid(program), store=store)
+        replay_engines = _grid(program)
+        replayed = measure_ilp_many(program, (), replay_engines, store=store)
+        assert replayed == live
+        assert _engine_states(replay_engines) == _engine_states(live_engines)
+
+    def test_budget_overrun_same_on_live_and_replay_paths(self):
+        from repro.machine import InstructionBudgetExceeded, TraceStore
+
+        program = assemble(STRIDE_LOOP)
+        store = TraceStore()
+        raised = []
+        states = []
+        for use_store in (False, True, True):  # live, capture, replay
+            engines = _grid(program)
+            with pytest.raises(InstructionBudgetExceeded) as excinfo:
+                measure_ilp_many(
+                    program,
+                    (),
+                    engines,
+                    max_instructions=300,
+                    store=store if use_store else None,
+                )
+            raised.append((type(excinfo.value), str(excinfo.value)))
+            states.append(_engine_states(engines))
+        assert raised[0] == raised[1] == raised[2]
+        assert "300" in raised[0][1]
+        assert states[0] == states[1] == states[2]
+
+
+class TestBatchWalkerMatchesReference:
+    """The batch walker against ``reference_ilp_many`` (per-record feed)."""
+
+    @staticmethod
+    def reference(program, inputs, engines, **kwargs):
+        from repro.machine import trace_batches
+
+        return reference_ilp_many(
+            program, trace_batches(program, inputs), engines, **kwargs
+        )
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            IlpConfig(),
+            IlpConfig(window_size=1),
+            IlpConfig(window_size=4, misprediction_penalty=3),
+            IlpConfig(track_memory_dependencies=False),
+        ],
+    )
+    def test_programs_and_machines(self, config):
+        sources = [SERIAL_CHAIN, INDEPENDENT, STRIDE_LOOP, MEMORY_LOOP]
+        for source in sources:
+            program = assemble(source)
+            fast_engines = _grid(program)
+            fast = measure_ilp_many(program, (), fast_engines, config=config)
+            reference_engines = _grid(program)
+            reference = self.reference(
+                program, (), reference_engines, config=config
+            )
+            assert fast == reference
+            assert _engine_states(fast_engines) == _engine_states(
+                reference_engines
+            )
+
+    def test_scheduler_state_carries_across_batches(self, monkeypatch):
+        import repro.machine.executor as executor_module
+
+        program = assemble(MEMORY_LOOP)
+        whole = measure_ilp_many(program, (), _grid(program))
+        original = executor_module.Executor.run_batches
+        monkeypatch.setattr(
+            executor_module.Executor,
+            "run_batches",
+            lambda self, chunk_size=7: original(self, chunk_size=7),
+        )
+        assert measure_ilp_many(program, (), _grid(program)) == whole
+
+    def test_table_5_2_grid_matches_reference(self):
+        from repro.core import ProfileClassification
+        from repro.experiments.context import ExperimentContext
+        from repro.experiments.shared import (
+            FSM_LABEL,
+            TABLE_ENTRIES,
+            TABLE_WAYS,
+            THRESHOLDS,
+            ilp_results,
+            threshold_label,
+        )
+
+        context = ExperimentContext(scale=0.01, training_runs=2)
+        name = "124.m88ksim"
+        fast = ilp_results(context, name)
+        program = context.program(name)
+        engines = {
+            "novp": None,
+            FSM_LABEL: PredictionEngine(
+                program,
+                predictor=StridePredictor(TABLE_ENTRIES, TABLE_WAYS),
+                scheme=HardwareClassification(),
+            ),
+        }
+        for threshold in THRESHOLDS:
+            annotated = context.annotated(name, threshold)
+            engines[threshold_label(threshold)] = PredictionEngine(
+                annotated,
+                predictor=StridePredictor(TABLE_ENTRIES, TABLE_WAYS),
+                scheme=ProfileClassification(annotated),
+            )
+        batches = context.traces.batches(program, context.test_inputs(name))
+        reference = reference_ilp_many(program, batches, engines)
+        assert fast == reference
+        assert set(fast) == {"novp", FSM_LABEL} | {
+            threshold_label(threshold) for threshold in THRESHOLDS
+        }

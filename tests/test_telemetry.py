@@ -293,6 +293,38 @@ void main() {
         assert counters["core.simulations"] == 1
         assert counters["predictor.lookups"] > 0
 
+    def test_ilp_publishes_once_per_call(self):
+        from repro.core import AlwaysClassification, PredictionEngine
+        from repro.ilp import measure_ilp_many
+        from repro.isa import assemble
+        from repro.predictors import StridePredictor
+
+        program = assemble(
+            """
+.text
+    li r1, 0
+    li r2, 40
+loop:
+    addi r1, r1, 1
+    slt r3, r1, r2
+    bnez r3, loop
+    halt
+"""
+        )
+        engines = {
+            "novp": None,
+            "vp": PredictionEngine(program, StridePredictor(), AlwaysClassification()),
+        }
+        with use_registry(Telemetry()) as registry:
+            results = measure_ilp_many(program, (), engines)
+        counters = registry.snapshot()["counters"]
+        instructions = results["novp"].instructions
+        assert instructions > 100
+        assert counters["ilp.configs"] == 2
+        assert counters["ilp.scheduled_instructions"] == 2 * instructions
+        assert registry.timer("ilp.schedule").count == 1
+        assert registry.timer("ilp.schedule").seconds > 0
+
     def test_evaluate_scheme_accepts_explicit_registry(self):
         from repro.core import HardwareScheme, evaluate_scheme
         from repro.isa import assemble
