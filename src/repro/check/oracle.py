@@ -25,6 +25,13 @@ Each :class:`OraclePair` names one equivalence the codebase relies on:
     unsampled profile, and ``sample_every=k`` over the live executor
     (columnar batch path) must equal profiling the drained record list
     thinned to ``records[::k]`` (the per-record reference path).
+``profile-fold-vs-record``
+    ``collect_profiles`` under an unbounded stride and last-value
+    predictor with the numpy profile fold live against the same call
+    with ``REPRO_NO_NUMPY`` forced (the per-record ``predictor.access``
+    reference) — on the live executor's batches and on 7-record batches,
+    with ``sample_every`` 1 and 3 and two address buckets; images, dumped
+    bytes and the predictors' tables and meters, faulting runs included.
 ``simulate-vec-vs-pure``
     ``simulate_prediction_many`` over a ten-engine grid with the
     vectorized (numpy) backend live against the same grid with
@@ -516,6 +523,83 @@ def _check_profile_sampled(case: CheckCase, budget: int):
     return None
 
 
+class _ChunkedTraces:
+    """A trace source cutting the live run into ``chunk``-record batches.
+
+    It stands in for a :class:`~repro.machine.TraceStore` (only
+    ``batches`` is used), so the profile fold sees per-address segments
+    that cross many batch boundaries.
+    """
+
+    def __init__(self, chunk: int) -> None:
+        self.chunk = chunk
+
+    def batches(self, program, inputs, max_instructions=None):
+        executor = Executor(program, inputs=inputs, max_instructions=max_instructions)
+        return executor.run_batches(chunk_size=self.chunk)
+
+
+def _profile_fold_observation(case: CheckCase, budget: int, traces, **sampling):
+    """Images, dumps and predictor tables of one stride + last-value run."""
+    from ..predictors import LastValuePredictor, StridePredictor
+    from ..profiling import collect_profiles
+
+    predictors = {"S": StridePredictor(), "L": LastValuePredictor()}
+    outcome: Tuple[str, ...] = ("halt",)
+    images = {}
+    try:
+        images = collect_profiles(
+            case.program,
+            list(case.inputs),
+            predictors=predictors,
+            run_label="train",
+            max_instructions=budget,
+            store=traces,
+            **sampling,
+        )
+    except ExecutionError as exc:
+        outcome = ("error", type(exc).__name__, str(exc))
+    return {
+        "outcome": outcome,
+        "images": {name: _observe_image(image) for name, image in images.items()},
+        "dumps": {name: dumps_profile(image) for name, image in images.items()},
+        "tables": {
+            name: _observe_table(predictor.table)
+            for name, predictor in predictors.items()
+        },
+    }
+
+
+def _check_profile_fold(case: CheckCase, budget: int):
+    # A faulting run raises out of collect_profiles, so its images are
+    # unobservable; the outcome and the predictors' end state still are.
+    variants = (
+        (None, {}),
+        (_ChunkedTraces(7), {}),
+        (_ChunkedTraces(7), {"sample_every": 3}),
+        (_ChunkedTraces(7), {"address_buckets": 2, "address_bucket": 0}),
+        (
+            _ChunkedTraces(7),
+            {"sample_every": 3, "address_buckets": 2, "address_bucket": 1},
+        ),
+    )
+    for traces, sampling in variants:
+        chunk = "default" if traces is None else traces.chunk
+        label = "$fold[chunk={}{}]".format(
+            chunk, "".join(f",{key}={value}" for key, value in sampling.items())
+        )
+        found = first_divergence(
+            _profile_fold_observation(case, budget, traces, **sampling),
+            _forced_pure(
+                lambda: _profile_fold_observation(case, budget, traces, **sampling)
+            ),
+            label,
+        )
+        if found is not None:
+            return found
+    return None
+
+
 def _engine_grid(program):
     """A predictor/scheme grid covering every vectorized code path.
 
@@ -576,45 +660,48 @@ def _engine_grid(program):
     }
 
 
-def _observe_engine(engine) -> Dict[str, object]:
-    """Canonical engine end-state: stats, tables, entries, FSM counters.
-
-    Entries are keyed by sorted address (infinite-table insertion order
-    is an internal detail the pure fast and step paths already disagree
-    on); values go through :func:`_canon_value` so a float-valued entry
-    can never masquerade as its int twin.
-    """
+def _canon_entry(entry):
+    """A predictor table entry with every value canonicalized."""
     from ..predictors.last_value import LastValueEntry
     from ..predictors.stride import StrideEntry
     from ..predictors.two_delta import TwoDeltaEntry
 
-    def canon_entry(entry):
-        if isinstance(entry, StrideEntry):
-            return (
-                "stride",
-                _canon_value(entry.last_value),
-                _canon_value(entry.stride),
-            )
-        if isinstance(entry, TwoDeltaEntry):
-            return (
-                "two-delta",
-                _canon_value(entry.last_value),
-                _canon_value(entry.candidate_stride),
-                _canon_value(entry.committed_stride),
-            )
-        if isinstance(entry, LastValueEntry):
-            return ("last-value", _canon_value(entry.last_value))
-        return ("?", repr(entry))  # pragma: no cover - closed entry set
+    if isinstance(entry, StrideEntry):
+        return ("stride", _canon_value(entry.last_value), _canon_value(entry.stride))
+    if isinstance(entry, TwoDeltaEntry):
+        return (
+            "two-delta",
+            _canon_value(entry.last_value),
+            _canon_value(entry.candidate_stride),
+            _canon_value(entry.committed_stride),
+        )
+    if isinstance(entry, LastValueEntry):
+        return ("last-value", _canon_value(entry.last_value))
+    return ("?", repr(entry))  # pragma: no cover - closed entry set
 
-    tables = {}
-    for index, table in enumerate(engine.predictor.tables()):
-        tables[f"table{index}"] = {
-            "meters": (table.lookups, table.hits, table.evictions),
-            "entries": {
-                address: canon_entry(entry)
-                for address, entry in sorted(table)
-            },
-        }
+
+def _observe_table(table) -> Dict[str, object]:
+    """Meters and entries of one prediction table, keyed by sorted address.
+
+    Infinite-table insertion (LRU) order is an internal detail the fast
+    and reference paths disagree on; it can never change an outcome.
+    """
+    return {
+        "meters": (table.lookups, table.hits, table.evictions),
+        "entries": {address: _canon_entry(entry) for address, entry in sorted(table)},
+    }
+
+
+def _observe_engine(engine) -> Dict[str, object]:
+    """Canonical engine end-state: stats, tables, entries, FSM counters.
+
+    Values go through :func:`_canon_value` so a float-valued entry can
+    never masquerade as its int twin.
+    """
+    tables = {
+        f"table{index}": _observe_table(table)
+        for index, table in enumerate(engine.predictor.tables())
+    }
     scheme = engine.scheme
     inner = getattr(scheme, "inner", scheme)
     counters = {}
@@ -987,6 +1074,11 @@ _PAIRS: Tuple[OraclePair, ...] = (
         "profile-sampled",
         "sampled profiling (k=1 byte-identical; executor vs records[::k])",
         True, _check_profile_sampled,
+    ),
+    OraclePair(
+        "profile-fold-vs-record",
+        "vectorised profile fold vs the per-record predictor.access reference",
+        True, _check_profile_fold,
     ),
     OraclePair(
         "simulate-vec-vs-pure",

@@ -2,6 +2,8 @@
 
 * :func:`collect_profile` / :func:`collect_profiles` — phase 2: trace a
   run under an emulated predictor and build a :class:`ProfileImage`.
+  :mod:`~repro.profiling.fold` is its vectorised (numpy) path for
+  unbounded stride / last-value predictors.
 * :mod:`~repro.profiling.image_io` — the profile-image file format
   (stream-level :func:`dump_profile`/:func:`load_profile`, path-level
   :func:`save_profile`/:func:`read_profile` with atomic publishes).

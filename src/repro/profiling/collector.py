@@ -7,18 +7,31 @@ value behaviour rather than table pressure — observes every dynamic
 instance of every value-prediction candidate.  The result records, per
 static instruction, its prediction accuracy and stride efficiency ratio,
 and per (category, phase) the aggregate accuracies behind Table 2.1.
+
+Two paths compute the same images:
+
+* the per-record reference, :func:`observe_triples`: one
+  ``predictor.access`` per candidate record, for any predictor;
+* the vectorised fold (:mod:`repro.profiling.fold`), which folds each
+  trace batch per address in numpy.  It runs when numpy is available
+  (and ``REPRO_NO_NUMPY`` is unset) and every predictor is a stock
+  stride or last-value predictor over an infinite, empty, unmetered
+  table.  Addresses mixing int and float values, or reaching
+  ``|v| >= 2**61``, take the reference inside a folded run.
+
+The ``profile-fold-vs-record`` oracle pair holds the two equal.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
+from itertools import islice
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..isa import Category, Number, Program
 from ..machine import DEFAULT_BUDGET, Executor, TraceStore
 from ..predictors import StridePredictor, ValuePredictor
-from ..predictors.stride import StrideEntry
 from ..telemetry import get_registry
 
 
@@ -232,10 +245,20 @@ def collect_profiles(
     A single execution of the program feeds every predictor, so comparing
     last-value against stride (Table 2.1) costs one simulation, not two.
 
-    The native consumption path walks the executor's columnar trace
-    batches (optionally captured into / replayed from ``store``), with a
-    batch-walking fast path for unbounded stride predictors that is
-    bit-identical to driving ``predictor.access`` record by record.
+    Without ``records`` the run's columnar trace batches come from the
+    executor, or are captured into / replayed from ``store``.  When numpy
+    is available and every predictor is a stock
+    :class:`~repro.predictors.StridePredictor` or
+    :class:`~repro.predictors.LastValuePredictor` over an infinite,
+    empty, unmetered table, the batches are folded per address in numpy
+    (:mod:`repro.profiling.fold`); all-int addresses fold in int64,
+    all-float ones in float64 (IEEE, as Python floats), and an address
+    that mixes the two or reaches ``|v| >= 2**61`` takes the per-record
+    reference from that batch on.  Otherwise every candidate record goes
+    through :func:`observe_triples`, one ``predictor.access`` at a time.
+    Both paths leave identical images, table entries and meters, also
+    when the run faults: the images then hold every record before the
+    fault, and the error propagates.
 
     Pass ``records`` (an iterable of
     :class:`~repro.machine.trace.TraceRecord`, e.g. from
@@ -245,14 +268,18 @@ def collect_profiles(
     ``sample_every=k`` keeps only dynamic records whose 0-based position
     in the run's full trace is a multiple of ``k`` — the sampled phase-2
     mode.  The rule is applied to the *unfiltered* dynamic stream (before
-    the candidate filter), identically across the ``records``, batch and
-    fast-stride consumption paths, so profiling with ``sample_every=k``
-    equals profiling ``records[::k]`` and ``k=1`` is byte-identical to
-    full profiling (the ``profile-sampled-k1`` oracle pair enforces
-    this).  ``address_buckets``/``address_bucket`` optionally restrict
-    collection to candidate addresses with ``address % address_buckets
-    == address_bucket`` — the bucketed profiles of one run partition the
+    the candidate filter), identically on the reference and the fold, so
+    profiling with ``sample_every=k`` equals profiling ``records[::k]``
+    and ``k=1`` is byte-identical to full profiling (the
+    ``profile-sampled`` oracle pair enforces this).
+    ``address_buckets``/``address_bucket`` optionally restrict collection
+    to candidate addresses with ``address % address_buckets ==
+    address_bucket`` — the bucketed profiles of one run partition the
     full profile.
+
+    Raises:
+        ValueError: on a bad sampling argument or an empty ``predictors``
+            mapping, before anything is executed.
     """
     if (
         isinstance(sample_every, bool)
@@ -274,6 +301,8 @@ def collect_profiles(
         )
     if predictors is None:
         predictors = {"stride": StridePredictor()}
+    if not predictors:
+        raise ValueError("need at least one predictor")
     images = {
         name: ProfileImage(program.name, run_label=run_label) for name in predictors
     }
@@ -286,35 +315,12 @@ def collect_profiles(
             for address, flag in enumerate(is_candidate)
         ]
     categories = [instruction.category for instruction in program.instructions]
-    pairs = [(name, predictor) for name, predictor in predictors.items()]
 
     started = time.perf_counter()
-    if records is not None:
-        for position, record in enumerate(records):
-            if sample_every > 1 and position % sample_every:
-                continue
-            address = record.address
-            if not is_candidate[address]:
-                continue
-            value = record.value
-            phase = record.phase
-            category = categories[address]
-            for name, predictor in pairs:
-                result = predictor.access(address, value)
-                image = images[name]
-                profile = image.profile_for(address)
-                profile.executions += 1
-                group = image.group_slot(category, phase, address)
-                group[0] += 1
-                if result.hit:
-                    profile.attempts += 1
-                    group[1] += 1
-                    if result.correct:
-                        profile.correct += 1
-                        group[2] += 1
-                        if result.nonzero_stride:
-                            profile.nonzero_stride_correct += 1
-    else:
+    fold = None
+    if records is None:
+        from .fold import build_profile_fold  # the fold imports this module
+
         budget = max_instructions if max_instructions is not None else DEFAULT_BUDGET
         if store is not None:
             batches = store.batches(program, inputs, max_instructions=budget)
@@ -322,69 +328,31 @@ def collect_profiles(
             batches = Executor(
                 program, inputs=inputs, max_instructions=budget
             ).run_batches()
-        consumers = []
-        finishers = []
-        for name, predictor in pairs:
-            fast = _fast_stride_profiler(predictor, images[name], categories)
-            if fast is not None:
-                consume, finish = fast
-                consumers.append(consume)
-                finishers.append(finish)
-            else:
-                consumers.append(
-                    _generic_profiler(predictor, images[name], categories)
-                )
+        fold = build_profile_fold(
+            program, predictors, images, is_candidate, categories, sample_every
+        )
+        if fold is None:
+            records = (record for batch in batches for record in batch.records())
+    if fold is None:
+        if sample_every > 1:
+            records = islice(records, 0, None, sample_every)
+        observe_triples(
+            [(predictor, images[name]) for name, predictor in predictors.items()],
+            categories,
+            (
+                (record.address, record.value, record.phase)
+                for record in records
+                if is_candidate[record.address]
+            ),
+        )
+    else:
         try:
-            # 0-based position of the current batch's first record within
-            # the run's full dynamic stream — the sampling rule is global,
-            # not per batch, so a record boundary mid-batch cannot shift
-            # which records a sampled profile keeps.
-            offset = 0
             for batch in batches:
-                addresses = batch.addresses
-                triples: List[Tuple[int, Optional[Number], int]] = []
-                if sample_every > 1:
-                    # Sampling indexes records at arbitrary positions, so
-                    # rebuild the aligned one-slot-per-record view (the
-                    # sampled rows are a small fraction of the batch).
-                    values = batch.record_values()
-                    for start, end, phase in batch.phase_segments():
-                        first = -(-(offset + start) // sample_every) * sample_every
-                        triples.extend(
-                            (addresses[position], values[position], phase)
-                            for position in range(
-                                first - offset, end, sample_every
-                            )
-                            if is_candidate[addresses[position]]
-                        )
-                else:
-                    # Full profiling: cursor-walk the packed produced-value
-                    # column (candidates are always producers).
-                    vflags = batch.value_flags
-                    column = batch.values
-                    produced = (
-                        column.ints if column.is_pure_int else column.tolist()
-                    )
-                    append = triples.append
-                    cursor = 0
-                    for start, end, phase in batch.phase_segments():
-                        for position in range(start, end):
-                            address = addresses[position]
-                            if vflags[address]:
-                                if is_candidate[address]:
-                                    append((address, produced[cursor], phase))
-                                cursor += 1
-                offset += len(batch)
-                if not triples:
-                    continue
-                for consume in consumers:
-                    consume(triples)
+                fold.consume(batch)
         finally:
-            # Fold the fast paths' accumulators even when the trace raised
-            # mid-run, matching the record path's behaviour of keeping
-            # every observation up to the fault.
-            for finish in finishers:
-                finish()
+            # Write back even when the trace faulted mid-run: the
+            # reference keeps every observation up to the fault.
+            fold.finish()
     telemetry = get_registry()
     if telemetry.enabled:
         # Candidate records observed = per-image executions (identical
@@ -398,21 +366,31 @@ def collect_profiles(
         if sample_every > 1 or address_buckets > 1:
             telemetry.counter("profiling.sampled.runs").add(1)
             telemetry.counter("profiling.sampled.records").add(observed)
+        if fold is not None:
+            telemetry.counter("profiling.fold.runs").add(1)
+            telemetry.counter("profiling.fold.reference_records").add(
+                fold.reference_records
+            )
     return images
 
 
-def _generic_profiler(predictor, image: ProfileImage, categories):
-    """Batch consumer for arbitrary predictors: one ``access`` per record."""
+def observe_triples(pairs, categories, triples) -> None:
+    """The per-record reference: one ``predictor.access`` per candidate.
 
-    def consume(triples) -> None:
-        access = predictor.access
-        profile_for = image.profile_for
-        group_slot = image.group_slot
-        for address, value, phase in triples:
-            result = access(address, value)
-            profile = profile_for(address)
+    ``pairs`` lists ``(predictor, image)``; ``triples`` yields each
+    candidate record as ``(address, value, phase)``.  Every access adds
+    one execution to the address's profile and ``(category, phase)``
+    group slot, and an attempt / correct / non-zero-stride hit as the
+    predictor reports it.  A ``triples`` iterator that raises leaves
+    every observation before the fault in place.
+    """
+    for address, value, phase in triples:
+        category = categories[address]
+        for predictor, image in pairs:
+            result = predictor.access(address, value)
+            profile = image.profile_for(address)
             profile.executions += 1
-            group = group_slot(categories[address], phase, address)
+            group = image.group_slot(category, phase, address)
             group[0] += 1
             if result.hit:
                 profile.attempts += 1
@@ -422,81 +400,3 @@ def _generic_profiler(predictor, image: ProfileImage, categories):
                     group[2] += 1
                     if result.nonzero_stride:
                         profile.nonzero_stride_correct += 1
-
-    return consume
-
-
-def _fast_stride_profiler(predictor, image: ProfileImage, categories):
-    """Inlined batch consumer for an unbounded stride predictor.
-
-    Operates directly on the predictor's (single, unbounded) table set
-    with local counter accumulators, folding them into the profile image
-    and the table's lookup/hit counters when finished.  Results are
-    bit-identical to the generic path; the only divergence is internal —
-    the table set's LRU order is not refreshed on hits, which is
-    unobservable for a table that never evicts.
-    """
-    if type(predictor) is not StridePredictor or not predictor.table.is_infinite:
-        return None
-    table = predictor.table
-    entries = table._set_for(0)
-    counts: Dict[int, List[int]] = {}
-    #: (address, phase) -> [executions, attempts, correct]; the category
-    #: is static per address and re-attached when folding into the image.
-    group_counts: Dict[Tuple[int, int], List[int]] = {}
-    meters = [0, 0]  # lookups, hits
-
-    def consume(triples) -> None:
-        lookups = hits = 0
-        get_entry = entries.get
-        get_count = counts.get
-        get_group = group_counts.get
-        for address, value, phase in triples:
-            slot = get_count(address)
-            if slot is None:
-                slot = counts[address] = [0, 0, 0, 0]
-            group_key = (address, phase)
-            group = get_group(group_key)
-            if group is None:
-                group = group_counts[group_key] = [0, 0, 0]
-            slot[0] += 1
-            group[0] += 1
-            lookups += 1
-            entry = get_entry(address)
-            if entry is None:
-                entries[address] = StrideEntry(value)
-                continue
-            hits += 1
-            last = entry.last_value
-            stride = entry.stride
-            entry.stride = value - last
-            entry.last_value = value
-            slot[1] += 1
-            group[1] += 1
-            if last + stride == value:
-                slot[2] += 1
-                group[2] += 1
-                if stride != 0:
-                    slot[3] += 1
-        meters[0] += lookups
-        meters[1] += hits
-
-    def finish() -> None:
-        table.lookups += meters[0]
-        table.hits += meters[1]
-        meters[0] = meters[1] = 0
-        for address, slot in counts.items():
-            profile = image.profile_for(address)
-            profile.executions += slot[0]
-            profile.attempts += slot[1]
-            profile.correct += slot[2]
-            profile.nonzero_stride_correct += slot[3]
-        counts.clear()
-        for (address, phase), group in group_counts.items():
-            stats = image.group_slot(categories[address], phase, address)
-            stats[0] += group[0]
-            stats[1] += group[1]
-            stats[2] += group[2]
-        group_counts.clear()
-
-    return consume, finish

@@ -66,6 +66,8 @@ KNOWN_METRICS: FrozenSet[str] = frozenset(
         "profiling.collect",
         "profiling.sampled.runs",
         "profiling.sampled.records",
+        "profiling.fold.runs",
+        "profiling.fold.reference_records",
         # corpus: the seeded mini-C workload generator.
         "corpus.programs",
         "corpus.generate",

@@ -342,7 +342,8 @@ class TestBatchedConsumerDifferential:
         assert self.run_grid(shared=True) == self.run_grid(shared=False)
 
     def test_profiler_fast_path_matches_record_path(self, monkeypatch):
-        import repro.profiling.collector as collector
+        from repro.core.simulate_vec import DISABLE_ENV
+        from repro.profiling import dumps_profile
 
         def profiles():
             return collect_profiles(
@@ -352,9 +353,11 @@ class TestBatchedConsumerDifferential:
             )
 
         fast = profiles()
-        monkeypatch.setattr(collector, "_fast_stride_profiler", lambda *args: None)
+        # The per-record reference: the fold is disabled with numpy.
+        monkeypatch.setenv(DISABLE_ENV, "1")
         slow = profiles()
         for name in fast:
+            assert dumps_profile(fast[name]) == dumps_profile(slow[name])
             fast_instructions = fast[name].instructions
             slow_instructions = slow[name].instructions
             assert set(fast_instructions) == set(slow_instructions)
